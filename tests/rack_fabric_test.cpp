@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -318,6 +321,125 @@ TEST(RackFabricTest, AggregateCrossRackThroughputMatchesUplink) {
   sim.Run();
   const SimTime expect = TransferTime(4 * MB(16), Gbps(5)) + Microseconds(50);
   EXPECT_NEAR(last, expect, 4 * kRoundingSlackNs);
+}
+
+// ----------------------------------------------------------------------
+// Golden trace: the exactness oracle of the fair-share engine. One seeded
+// mix is replayed and every observable outcome — each delivery's
+// (TransferId, ns), each failure notice and each AQM backpressure notice,
+// in occurrence order — is folded into a digest pinned below. Any change
+// to the engine's bookkeeping must keep these digests bit for bit.
+// ----------------------------------------------------------------------
+
+struct GoldenTrace {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+  int delivered = 0;
+  int failed = 0;
+  int backpressured = 0;
+  std::int64_t aqm_marks = 0;
+
+  void Fold(std::uint64_t kind, std::uint64_t a, std::uint64_t b, SimTime at) {
+    for (const std::uint64_t word : {kind, a, b, static_cast<std::uint64_t>(at)}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (word >> (8 * byte)) & 0xff;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  }
+};
+
+/// 400 flows on 8 nodes behind a 16:1 uplink (2.5 Gbps shared by rack 0's
+/// four 10 Gbps senders), three tenants, so each (src, dst, tenant) class
+/// carries many concurrent flows. The mix staggers starts in bursts,
+/// cancels every seventh flow mid-air, fails and recovers two nodes, and
+/// sprinkles in 1-3 B sub-residue flows and some intra-rack and reverse
+/// traffic.
+GoldenTrace ReplayGoldenMix(bool wfq, bool aqm) {
+  ClusterConfig cfg = RackConfig(8, 2, 16.0);
+  cfg.qos.wfq = wfq;
+  cfg.qos.aqm = aqm;
+  sim::Simulator sim;
+  RackFabric net(sim, cfg);
+  GoldenTrace trace;
+  net.SetBackpressureHandler([&](NodeID src, qos::TenantId tenant) {
+    ++trace.backpressured;
+    trace.Fold(3, static_cast<std::uint64_t>(src), static_cast<std::uint64_t>(tenant),
+               sim.Now());
+  });
+
+  Rng rng(20211);
+  std::vector<TransferId> ids(400, kInvalidTransfer);
+  for (int i = 0; i < 400; ++i) {
+    const SimTime at = static_cast<SimTime>(i / 4) * Microseconds(1500) +
+                       static_cast<SimTime>(rng.NextBounded(3)) * Microseconds(1);
+    auto src = static_cast<NodeID>(rng.NextBounded(4));
+    auto dst = static_cast<NodeID>(4 + rng.NextBounded(2));
+    const std::uint64_t shape = rng.NextBounded(16);
+    if (shape == 0) dst = static_cast<NodeID>((src + 1) % 4);  // intra-rack
+    if (shape == 1) std::swap(src, dst);                      // reverse uplink
+    const auto tenant = static_cast<qos::TenantId>(rng.NextBounded(3));
+    const std::int64_t bytes = rng.NextBounded(6) == 0
+                                   ? 1 + static_cast<std::int64_t>(rng.NextBounded(3))
+                                   : KB(64) + static_cast<std::int64_t>(rng.NextBounded(64)) * KB(32);
+    const SimDuration cancel_after =
+        i % 7 == 3 ? Microseconds(200) + static_cast<SimDuration>(rng.NextBounded(20'000)) * 1000
+                   : 0;
+    const auto slot = static_cast<std::size_t>(i);
+    sim.ScheduleAt(at, [&net, &sim, &trace, &ids, slot, src, dst, bytes, tenant,
+                        cancel_after] {
+      const TransferId id = net.Send(
+          src, dst, bytes,
+          [&sim, &trace, &ids, slot] {
+            ++trace.delivered;
+            trace.Fold(1, ids[slot], 0, sim.Now());
+          },
+          [&sim, &trace, &ids, slot](NodeID dead) {
+            ++trace.failed;
+            trace.Fold(2, ids[slot], static_cast<std::uint64_t>(dead), sim.Now());
+          },
+          tenant);
+      ids[slot] = id;
+      trace.Fold(0, id, static_cast<std::uint64_t>(bytes), sim.Now());
+      if (cancel_after > 0) {
+        sim.ScheduleAfter(cancel_after, [&net, id] { net.CancelTransfer(id); });
+      }
+    });
+  }
+  sim.ScheduleAt(Milliseconds(40), [&net] { net.FailNode(5); });
+  sim.ScheduleAt(Milliseconds(70), [&net] { net.RecoverNode(5); });
+  sim.ScheduleAt(Milliseconds(110), [&net] { net.FailNode(1); });
+  sim.ScheduleAt(Milliseconds(125), [&net] { net.RecoverNode(1); });
+  sim.Run();
+  EXPECT_EQ(net.wire_flows(), 0u);
+  trace.aqm_marks = net.aqm_marks();
+  return trace;
+}
+
+TEST(RackFabricGoldenTest, PlainMaxMinTraceIsPinned) {
+  const GoldenTrace trace = ReplayGoldenMix(/*wfq=*/false, /*aqm=*/false);
+  EXPECT_EQ(trace.digest, 0x6567600bda3d6ab1ULL);
+  EXPECT_EQ(trace.delivered, 251);
+  EXPECT_EQ(trace.failed, 112);
+  EXPECT_EQ(trace.backpressured, 0);
+  EXPECT_EQ(trace.aqm_marks, 0);
+}
+
+TEST(RackFabricGoldenTest, WfqTraceIsPinned) {
+  const GoldenTrace trace = ReplayGoldenMix(/*wfq=*/true, /*aqm=*/false);
+  EXPECT_EQ(trace.digest, 0x5060c4e8885c3f5aULL);
+  EXPECT_EQ(trace.delivered, 252);
+  EXPECT_EQ(trace.failed, 111);
+  EXPECT_EQ(trace.backpressured, 0);
+  EXPECT_EQ(trace.aqm_marks, 0);
+}
+
+TEST(RackFabricGoldenTest, WfqAqmTraceIsPinned) {
+  const GoldenTrace trace = ReplayGoldenMix(/*wfq=*/true, /*aqm=*/true);
+  EXPECT_EQ(trace.digest, 0x0d45c50e6c239eb8ULL);
+  EXPECT_EQ(trace.delivered, 251);
+  EXPECT_EQ(trace.failed, 112);
+  EXPECT_EQ(trace.backpressured, 144);
+  EXPECT_EQ(trace.aqm_marks, 38);
 }
 
 }  // namespace
