@@ -205,6 +205,43 @@ std::vector<Row> Run(const RunOptions& opt) {
   }
 
   {
+    // Rack-fabric incast: 1,024 flows from the 8 nodes of one rack into the
+    // other across its 16:1 uplink, staggered so hundreds pile up on the
+    // link. Few (src, dst) pairs means few flow classes, the fair-share
+    // unit — the counterpart of the row above, where nearly every flow is
+    // its own class.
+    const int flows = opt.Nodes(1024);
+    net::ClusterConfig ic_cfg;
+    ic_cfg.num_nodes = 16;
+    ic_cfg.fabric.topology = net::TopologyKind::kRack;
+    ic_cfg.fabric.num_racks = 2;
+    ic_cfg.fabric.oversubscription = 16.0;
+    const double secs = BestWallSeconds(repeats, [&] {
+      sim::Simulator sim;
+      net::RackFabric net(sim, ic_cfg);
+      Rng rng(29);
+      int delivered = 0;
+      for (int i = 0; i < flows; ++i) {
+        const auto src = static_cast<NodeID>(i % 8);
+        const auto dst = static_cast<NodeID>(8 + (i / 8) % 2);
+        const std::int64_t bytes =
+            KB(256) + static_cast<std::int64_t>(rng.NextBounded(16)) * KB(64);
+        sim.ScheduleAt(static_cast<SimTime>(i) * 2'000,
+                       [&net, &delivered, src, dst, bytes] {
+                         net.Send(src, dst, bytes, [&delivered] { ++delivered; });
+                       });
+      }
+      sim.Run();
+      HOPLITE_CHECK_EQ(delivered, flows);
+      sink = sink + static_cast<std::uint64_t>(sim.executed_events());
+    });
+    rows.push_back(Row{.series = "rack-incast",
+                       .coords = {{"flows", static_cast<double>(flows)}, {"racks", 2}},
+                       .value = flows / secs,
+                       .unit = "flows_per_second"});
+  }
+
+  {
     const int n = 1'000'000;
     Rng rng(1);
     const double secs = BestWallSeconds(repeats, [&] {

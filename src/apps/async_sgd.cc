@@ -36,7 +36,7 @@ struct HopliteSgd {
 
   static core::HopliteCluster::Options MakeClusterOptions(const AsyncSgdOptions& opt) {
     core::HopliteCluster::Options cluster_options;
-    cluster_options.network = PaperNetwork(opt.num_nodes);
+    cluster_options.network.num_nodes = opt.num_nodes;
     cluster_options.engine_shards = opt.engine_shards;
     cluster_options.network.failure_detection_delay = opt.detection_delay;
     return cluster_options;
@@ -201,7 +201,7 @@ struct RaySgd {
   explicit RaySgd(const AsyncSgdOptions& opt)
       : options(opt),
         rng(opt.seed),
-        net(net::MakeFabric(sim, PaperNetwork(opt.num_nodes))),
+        net(net::MakeFabric(sim, net::ClusterConfig{.num_nodes = opt.num_nodes})),
         transport(sim, *net,
                   opt.backend == Backend::kDask
                       ? baselines::RayLikeConfig::Dask()

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "net/fabric.h"
 
 namespace hoplite::apps {
 
@@ -42,14 +41,5 @@ struct ComputeModel {
     return static_cast<SimDuration>(static_cast<double>(mean) * factor);
   }
 };
-
-/// The paper's testbed fabric: 16 m5.4xlarge/p3.2xlarge nodes, 10 Gbps,
-/// ~85 us RTT. These are exactly the `net::ClusterConfig` defaults (pinned
-/// by static_asserts in bench/bench_util.h); only the node count varies.
-[[nodiscard]] inline net::ClusterConfig PaperNetwork(int num_nodes) {
-  net::ClusterConfig config;
-  config.num_nodes = num_nodes;
-  return config;
-}
 
 }  // namespace hoplite::apps

@@ -43,7 +43,7 @@ struct HopliteRl {
 
   static core::HopliteCluster::Options MakeClusterOptions(const RlOptions& opt) {
     core::HopliteCluster::Options cluster_options;
-    cluster_options.network = PaperNetwork(opt.num_nodes);
+    cluster_options.network.num_nodes = opt.num_nodes;
     cluster_options.engine_shards = opt.engine_shards;
     return cluster_options;
   }
@@ -192,7 +192,7 @@ struct RayRl {
   explicit RayRl(const RlOptions& opt)
       : options(opt),
         rng(opt.seed),
-        net(net::MakeFabric(sim, PaperNetwork(opt.num_nodes))),
+        net(net::MakeFabric(sim, net::ClusterConfig{.num_nodes = opt.num_nodes})),
         transport(sim, *net, baselines::RayLikeConfig::Ray()) {}
 
   RlOptions options;

@@ -32,7 +32,7 @@ struct HopliteServing {
 
   static core::HopliteCluster::Options MakeClusterOptions(const ServingOptions& opt) {
     core::HopliteCluster::Options cluster_options;
-    cluster_options.network = PaperNetwork(opt.num_nodes);
+    cluster_options.network.num_nodes = opt.num_nodes;
     cluster_options.engine_shards = opt.engine_shards;
     cluster_options.network.failure_detection_delay = opt.detection_delay;
     return cluster_options;
@@ -126,7 +126,7 @@ struct RayServing {
   explicit RayServing(const ServingOptions& opt)
       : options(opt),
         rng(opt.seed),
-        net(net::MakeFabric(sim, PaperNetwork(opt.num_nodes))),
+        net(net::MakeFabric(sim, net::ClusterConfig{.num_nodes = opt.num_nodes})),
         transport(sim, *net, baselines::RayLikeConfig::Ray()) {}
 
   ServingOptions options;

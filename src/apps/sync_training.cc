@@ -34,7 +34,7 @@ struct HopliteSync {
 
   static core::HopliteCluster::Options MakeClusterOptions(const SyncTrainingOptions& opt) {
     core::HopliteCluster::Options cluster_options;
-    cluster_options.network = PaperNetwork(opt.num_nodes);
+    cluster_options.network.num_nodes = opt.num_nodes;
     cluster_options.engine_shards = opt.engine_shards;
     return cluster_options;
   }
@@ -104,7 +104,7 @@ struct StaticSync {
   explicit StaticSync(const SyncTrainingOptions& opt)
       : options(opt),
         rng(opt.seed),
-        net(net::MakeFabric(sim, PaperNetwork(opt.num_nodes))),
+        net(net::MakeFabric(sim, net::ClusterConfig{.num_nodes = opt.num_nodes})),
         mpi(sim, *net, baselines::MpiConfig{}),
         gloo(sim, *net, baselines::GlooConfig{}) {}
 
@@ -151,7 +151,7 @@ struct RaySync {
   explicit RaySync(const SyncTrainingOptions& opt)
       : options(opt),
         rng(opt.seed),
-        net(net::MakeFabric(sim, PaperNetwork(opt.num_nodes))),
+        net(net::MakeFabric(sim, net::ClusterConfig{.num_nodes = opt.num_nodes})),
         transport(sim, *net, baselines::RayLikeConfig::Ray()) {}
 
   SyncTrainingOptions options;

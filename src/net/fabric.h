@@ -64,7 +64,9 @@ struct FabricConfig {
   SimDuration cross_rack_extra_latency = 0;
 };
 
-/// Static description of the simulated cluster.
+/// Static description of the simulated cluster. Every member has a default
+/// (the paper's testbed), so `ClusterConfig{.num_nodes = n}` spells that
+/// testbed at n nodes.
 struct ClusterConfig {
   int num_nodes = 16;
 
@@ -92,18 +94,18 @@ struct ClusterConfig {
 
   /// Optional per-node NIC bandwidth override (heterogeneous clusters,
   /// §6 "Network Heterogeneity"). Empty means uniform `nic_bandwidth`.
-  std::vector<BytesPerSecond> per_node_bandwidth;
+  std::vector<BytesPerSecond> per_node_bandwidth{};
 
   /// Topology selection (flat testbed vs. racks behind ToR uplinks).
-  FabricConfig fabric;
+  FabricConfig fabric{};
 
   /// Hot-object serving knobs: the store's eviction policy and the
   /// directory's request-coalescing switch (see cache/cache_config.h).
-  cache::CacheConfig cache;
+  cache::CacheConfig cache{};
 
   /// Per-tenant QoS knobs: fabric WFQ, uplink AQM and client admission
   /// (see qos/qos.h). All off by default — byte-identical to pre-QoS.
-  qos::QosConfig qos;
+  qos::QosConfig qos{};
 
   [[nodiscard]] BytesPerSecond BandwidthOf(NodeID node) const {
     if (!per_node_bandwidth.empty()) {

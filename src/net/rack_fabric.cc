@@ -1,6 +1,7 @@
 #include "net/rack_fabric.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -27,14 +28,26 @@ constexpr double kMinRate = 1.0;
 /// when freezing a WFQ round.
 constexpr double kFreezeEps = 1e-9;
 
-/// Min-heap comparator for the lazy completion heaps (earliest time first;
-/// ties broken by id only to keep the comparison a strict weak order).
-struct EntryLater {
-  template <typename E>
-  [[nodiscard]] bool operator()(const E& a, const E& b) const noexcept {
-    return a.time != b.time ? a.time > b.time : a.id > b.id;
+/// Adds `value` to each of `sums` once per member of a class, one addition
+/// at a time: exactly the float additions the class's flows would make one
+/// by one (`count * value` would round differently). The sums' chains are
+/// independent, so stepping them together keeps every result and hides the
+/// add latency; lanes past a class's links just absorb unused additions.
+template <std::size_t N>
+void AddPerMember(std::array<double, N>& sums, double value, int count) {
+  for (int k = 0; k < count; ++k) {
+    for (double& sum : sums) sum += value;
   }
-};
+}
+
+/// The demand group of `tenant` on a link (WFQ mode), or null.
+template <typename LinkT>
+auto* GroupOf(LinkT& link, qos::TenantId tenant) {
+  const auto it = std::find_if(link.wfq.begin(), link.wfq.end(), [tenant](const auto& g) {
+    return g.tenant == tenant;
+  });
+  return it == link.wfq.end() ? nullptr : &*it;
+}
 
 }  // namespace
 
@@ -42,6 +55,7 @@ RackFabric::RackFabric(sim::Engine& simulator, ClusterConfig config)
     : Fabric(simulator, std::move(config)), aqm_(config_.qos.aqm_tuning) {
   HOPLITE_CHECK_GT(config_.fabric.num_racks, 0);
   HOPLITE_CHECK_GT(config_.fabric.oversubscription, 0.0);
+  HOPLITE_CHECK_LE(config_.num_nodes, 65535) << "class keys pack src * n + dst in 32 bits";
   num_racks_ = std::min(config_.fabric.num_racks, config_.num_nodes);
   nodes_per_rack_ = (config_.num_nodes + num_racks_ - 1) / num_racks_;
 
@@ -49,8 +63,8 @@ RackFabric::RackFabric(sim::Engine& simulator, ClusterConfig config)
   for (NodeID node = 0; node < config_.num_nodes; ++node) {
     const BytesPerSecond nic = config_.BandwidthOf(node);
     HOPLITE_CHECK_GT(nic, 0.0);
-    links_[static_cast<std::size_t>(EgressLink(node))].capacity = nic;
-    links_[static_cast<std::size_t>(IngressLink(node))].capacity = nic;
+    links_[EgressLink(node)].capacity = nic;
+    links_[IngressLink(node)].capacity = nic;
   }
   for (int rack = 0; rack < num_racks_; ++rack) {
     double rack_nic_sum = 0;
@@ -58,8 +72,8 @@ RackFabric::RackFabric(sim::Engine& simulator, ClusterConfig config)
       if (RackOf(node) == rack) rack_nic_sum += config_.BandwidthOf(node);
     }
     const double tor = rack_nic_sum / config_.fabric.oversubscription;
-    links_[static_cast<std::size_t>(UplinkLink(rack))].capacity = tor;
-    links_[static_cast<std::size_t>(DownlinkLink(rack))].capacity = tor;
+    links_[UplinkLink(rack)].capacity = tor;
+    links_[DownlinkLink(rack)].capacity = tor;
   }
 }
 
@@ -71,30 +85,68 @@ int RackFabric::RackOf(NodeID node) const {
 BytesPerSecond RackFabric::UplinkCapacityOf(int rack) const {
   HOPLITE_CHECK_GE(rack, 0);
   HOPLITE_CHECK_LT(rack, num_racks_);
-  return links_[static_cast<std::size_t>(UplinkLink(rack))].capacity;
+  return links_[UplinkLink(rack)].capacity;
 }
 
 double RackFabric::CurrentRate(TransferId id) const {
   const auto it = flows_.find(id);
   if (it == flows_.end() || it->second.stage != Stage::kWire) return 0;
-  return it->second.rate;
+  return classes_[it->second.cls].rate;
 }
 
-bool RackFabric::IsStale(const HeapEntry& entry) const {
-  const auto it = flows_.find(entry.id);
-  return it == flows_.end() || it->second.stage != Stage::kWire ||
-         it->second.gen != entry.gen;
+std::uint64_t RackFabric::ClassKey(NodeID src, NodeID dst, qos::TenantId tenant) const {
+  const auto n = static_cast<std::uint64_t>(config_.num_nodes);
+  const auto pair = static_cast<std::uint64_t>(src) * n + static_cast<std::uint64_t>(dst);
+  return pair << 32 | static_cast<std::uint32_t>(tenant);
 }
 
-double RackFabric::RemainingAt(const Flow& flow, SimTime t) {
-  if (t == flow.anchor) return flow.remaining;
-  const double dt = static_cast<double>(t - flow.anchor) * 1e-9;
-  return std::max(0.0, flow.remaining - flow.rate * dt);
+double RackFabric::RemainingAt(const Member& member, double rate, SimTime t) {
+  if (t == member.anchor) return member.remaining;
+  const double dt = static_cast<double>(t - member.anchor) * 1e-9;
+  return std::max(0.0, member.remaining - rate * dt);
 }
 
-void RackFabric::Materialize(Flow& flow, SimTime t) {
-  flow.remaining = RemainingAt(flow, t);
-  flow.anchor = t;
+void RackFabric::Materialize(Member& member, double rate, SimTime t) {
+  member.remaining = RemainingAt(member, rate, t);
+  member.anchor = t;
+}
+
+RackFabric::Record RackFabric::RecordOf(const Member& member, double rate) {
+  const SimTime now = member.anchor;
+  if (member.remaining <= kDoneBytes) return Record{now, now};
+  if (!(rate > 0)) return Record{};  // no rate: waits for the next recompute
+  const double own_ns = std::ceil(member.remaining / rate * 1e9);
+  if (!(own_ns < static_cast<double>(kSimTimeMax - now))) return Record{};
+  // Floor of one nanosecond: a residue that rounds to a zero-length
+  // completion must still move time forward, or the completion event
+  // reschedules itself at `now` forever.
+  const SimTime t_own = now + std::max<SimTime>(1, static_cast<SimTime>(own_ns));
+  const double half_ns = std::ceil((member.remaining - kDoneBytes) / rate * 1e9);
+  SimTime t_half = now + std::max<SimTime>(1, static_cast<SimTime>(std::max(0.0, half_ns)));
+  // ceil() worked on rounded quotients; nudge onto the exact boundary of the
+  // booked-remaining test so the sweep window matches a full per-event scan.
+  // At most a couple of probes each way.
+  for (int probe = 0;
+       probe < 4 && t_half > now + 1 && RemainingAt(member, rate, t_half - 1) <= kDoneBytes;
+       ++probe) {
+    --t_half;
+  }
+  for (int probe = 0;
+       probe < 4 && t_half < t_own && RemainingAt(member, rate, t_half) > kDoneBytes;
+       ++probe) {
+    ++t_half;
+  }
+  return Record{t_own, std::min(t_half, t_own)};
+}
+
+RackFabric::Record RackFabric::MinRecordOf(const FlowClass& fc) {
+  Record least;
+  for (const Member& m : fc.members) {
+    const Record record = RecordOf(m, fc.rate);
+    least.own = std::min(least.own, record.own);
+    least.half = std::min(least.half, record.half);
+  }
+  return least;
 }
 
 void RackFabric::StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64_t bytes,
@@ -116,32 +168,89 @@ void RackFabric::StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64
     return;
   }
 
-  f.remaining = static_cast<double>(bytes);
-  f.anchor = sim_.Now();
-  std::vector<int>& dirty = dirty_scratch_;
+  std::vector<std::size_t>& dirty = dirty_scratch_;
   dirty.clear();
-  AssignLinks(id, f, dirty);
+  JoinClass(id, f, static_cast<double>(bytes), dirty);
 
   Recompute(dirty);
   RescheduleCompletion();
 }
 
-void RackFabric::AssignLinks(TransferId id, Flow& flow, std::vector<int>& dirty) {
-  flow.num_links = 0;
-  flow.links[static_cast<std::size_t>(flow.num_links++)] = EgressLink(flow.src);
-  flow.links[static_cast<std::size_t>(flow.num_links++)] = IngressLink(flow.dst);
-  const int src_rack = RackOf(flow.src);
-  const int dst_rack = RackOf(flow.dst);
-  if (src_rack != dst_rack) {
-    flow.links[static_cast<std::size_t>(flow.num_links++)] = UplinkLink(src_rack);
-    flow.links[static_cast<std::size_t>(flow.num_links++)] = DownlinkLink(dst_rack);
+void RackFabric::JoinClass(TransferId id, Flow& flow, double remaining,
+                           std::vector<std::size_t>& dirty) {
+  const auto [it, inserted] =
+      class_of_key_.try_emplace(ClassKey(flow.src, flow.dst, flow.tenant), classes_.size());
+  if (inserted) {
+    if (free_classes_.empty()) {
+      classes_.emplace_back();
+    } else {
+      it->second = free_classes_.back();
+      free_classes_.pop_back();
+    }
+    FlowClass& fc = classes_[it->second];
+    fc.src = flow.src;
+    fc.dst = flow.dst;
+    fc.tenant = flow.tenant;
+    fc.rate = 0;
+    fc.num_links = 0;
+    fc.link_slots[fc.num_links++] = EgressLink(flow.src);
+    fc.link_slots[fc.num_links++] = IngressLink(flow.dst);
+    const int src_rack = RackOf(flow.src);
+    const int dst_rack = RackOf(flow.dst);
+    if (src_rack != dst_rack) {
+      fc.link_slots[fc.num_links++] = UplinkLink(src_rack);
+      fc.link_slots[fc.num_links++] = DownlinkLink(dst_rack);
+    }
+    for (const std::size_t link : fc.links()) links_[link].classes.push_back(it->second);
   }
-  for (int i = 0; i < flow.num_links; ++i) {
-    const int link = flow.links[static_cast<std::size_t>(i)];
-    links_[static_cast<std::size_t>(link)].flows.push_back(id);
+  flow.cls = it->second;
+  FlowClass& fc = classes_[flow.cls];
+  // A new transfer carries the largest id yet and lands at the back; a
+  // resumed one slots back into id order.
+  const auto pos =
+      std::upper_bound(fc.members.begin(), fc.members.end(), id,
+                       [](TransferId value, const Member& m) { return value < m.id; });
+  fc.members.insert(pos, Member{remaining, sim_.Now(), id});
+  for (const std::size_t link : fc.links()) {
+    links_[link].flows += 1;
     dirty.push_back(link);
   }
   wire_flow_count_ += 1;
+}
+
+double RackFabric::LeaveClass(TransferId id, const Flow& flow,
+                              std::vector<std::size_t>& dirty) {
+  FlowClass& fc = classes_[flow.cls];
+  const auto pos =
+      std::lower_bound(fc.members.begin(), fc.members.end(), id,
+                       [](const Member& m, TransferId value) { return m.id < value; });
+  HOPLITE_CHECK(pos != fc.members.end() && pos->id == id);
+  const double residue = RemainingAt(*pos, fc.rate, sim_.Now());
+  fc.members.erase(pos);
+  ShrinkClass(flow.cls, 1, dirty);
+  return residue;
+}
+
+void RackFabric::ShrinkClass(std::size_t cls, int count, std::vector<std::size_t>& dirty) {
+  FlowClass& fc = classes_[cls];
+  for (const std::size_t link : fc.links()) {
+    links_[link].flows -= count;
+    dirty.push_back(link);
+  }
+  wire_flow_count_ -= static_cast<std::size_t>(count);
+  if (!fc.members.empty()) return;
+  // Last member gone: unlist the class (a link carries a handful of classes,
+  // so the linear find is cheap) and free its slot.
+  for (const std::size_t link : fc.links()) {
+    auto& on_link = links_[link].classes;
+    const auto pos = std::find(on_link.begin(), on_link.end(), cls);
+    HOPLITE_CHECK(pos != on_link.end());
+    *pos = on_link.back();
+    on_link.pop_back();
+  }
+  SetRecord(cls, Record{});
+  class_of_key_.erase(ClassKey(fc.src, fc.dst, fc.tenant));
+  free_classes_.push_back(cls);
 }
 
 bool RackFabric::CancelTransfer(TransferId id) {
@@ -155,9 +264,9 @@ bool RackFabric::CancelTransfer(TransferId id) {
     flows_.erase(it);
     return true;
   }
-  std::vector<int>& dirty = dirty_scratch_;
+  std::vector<std::size_t>& dirty = dirty_scratch_;
   dirty.clear();
-  DetachFromLinks(id, flow, dirty);
+  LeaveClass(id, flow, dirty);
   flows_.erase(it);
   Recompute(dirty);
   RescheduleCompletion();
@@ -174,7 +283,7 @@ void RackFabric::AbortTransfersOf(NodeID node) {
   }
   // Collect callbacks before notifying.
   std::vector<FailureCallback> to_notify;
-  std::vector<int>& dirty = dirty_scratch_;
+  std::vector<std::size_t>& dirty = dirty_scratch_;
   dirty.clear();
   for (const TransferId id : victims) {
     auto it = flows_.find(id);
@@ -182,7 +291,7 @@ void RackFabric::AbortTransfersOf(NodeID node) {
     if (flow.stage != Stage::kWire) {
       sim_.Cancel(flow.delivery_event);  // delivery, or the AQM resume
     } else {
-      DetachFromLinks(id, flow, dirty);
+      LeaveClass(id, flow, dirty);
     }
     if (flow.on_failed != nullptr) to_notify.push_back(std::move(flow.on_failed));
     flows_.erase(it);
@@ -196,140 +305,128 @@ void RackFabric::AbortTransfersOf(NodeID node) {
   }
 }
 
-void RackFabric::DetachFromLinks(TransferId id, Flow& flow, std::vector<int>& dirty) {
-  for (int i = 0; i < flow.num_links; ++i) {
-    const int link = flow.links[static_cast<std::size_t>(i)];
-    auto& on_link = links_[static_cast<std::size_t>(link)].flows;
-    // Find-and-swap-remove: order within a link's list is irrelevant (the
-    // component pass sorts by id before anything order-sensitive happens).
-    const auto pos = std::find(on_link.begin(), on_link.end(), id);
-    HOPLITE_CHECK(pos != on_link.end());
-    *pos = on_link.back();
-    on_link.pop_back();
-    dirty.push_back(link);
-  }
-  flow.num_links = 0;
-  flow.rate = 0;
-  ++flow.gen;  // invalidate any completion-heap records
-  wire_flow_count_ -= 1;
-}
-
-void RackFabric::Recompute(const std::vector<int>& dirty) {
+void RackFabric::Recompute(const std::vector<std::size_t>& dirty) {
   const SimTime now = sim_.Now();
   ++epoch_;
   comp_links_.clear();
-  comp_flows_.clear();
+  comp_classes_.clear();
 
-  // BFS over the sharing graph: every flow on a dirty link, every link of
-  // such a flow, transitively.
-  std::vector<int>& stack = bfs_stack_;
+  // BFS over the sharing graph: every class on a dirty link, every link of
+  // such a class, transitively.
+  std::vector<std::size_t>& stack = bfs_stack_;
   stack.clear();
-  for (const int link : dirty) {
-    Link& l = links_[static_cast<std::size_t>(link)];
-    if (l.mark == epoch_) continue;
-    l.mark = epoch_;
+  const auto visit_link = [&](std::size_t link) {
+    if (links_[link].mark == epoch_) return;
+    links_[link].mark = epoch_;
     comp_links_.push_back(link);
     stack.push_back(link);
-  }
+  };
+  for (const std::size_t link : dirty) visit_link(link);
   while (!stack.empty()) {
-    const int link = stack.back();
+    const std::size_t link = stack.back();
     stack.pop_back();
-    for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-      Flow& f = flows_.find(id)->second;
-      if (f.mark == epoch_) continue;
-      f.mark = epoch_;
-      comp_flows_.push_back(CompFlow{id, &f});
-      for (int i = 0; i < f.num_links; ++i) {
-        const int fl = f.links[static_cast<std::size_t>(i)];
-        Link& l = links_[static_cast<std::size_t>(fl)];
-        if (l.mark == epoch_) continue;
-        l.mark = epoch_;
-        comp_links_.push_back(fl);
-        stack.push_back(fl);
-      }
+    for (const std::size_t cls : links_[link].classes) {
+      FlowClass& fc = classes_[cls];
+      if (fc.mark == epoch_) continue;
+      fc.mark = epoch_;
+      comp_classes_.push_back(cls);
+      for (const std::size_t cl : fc.links()) visit_link(cl);
     }
   }
-  if (comp_flows_.empty()) return;
-  // Ascending TransferId: the deterministic iteration order of the filling
-  // and of the heap-record refresh below. Flow pointers are stable for the
-  // duration of the pass (nothing inserts into flows_ here), so the hot
-  // loops below never touch the hash table again.
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [](const CompFlow& a, const CompFlow& b) { return a.id < b.id; });
+  if (comp_classes_.empty()) return;
+  // Ascending smallest live TransferId (members are id-sorted): the
+  // deterministic iteration order of the filling. It reproduces the
+  // first-appearance order of an id-sorted per-flow pass, which is what the
+  // WFQ solver's float sums depend on.
+  std::sort(comp_classes_.begin(), comp_classes_.end(), [this](std::size_t a, std::size_t b) {
+    return classes_[a].members.front().id < classes_[b].members.front().id;
+  });
 
-  for (const CompFlow& cf : comp_flows_) {
-    Materialize(*cf.flow, now);
-    cf.flow->frozen = false;
+  int comp_flows = 0;
+  for (const std::size_t cls : comp_classes_) {
+    FlowClass& fc = classes_[cls];
+    fc.min_remaining = std::numeric_limits<double>::infinity();
+    for (Member& m : fc.members) {
+      Materialize(m, fc.rate, now);
+      fc.min_remaining = std::min(fc.min_remaining, m.remaining);
+    }
+    fc.frozen = false;
+    comp_flows += static_cast<int>(fc.members.size());
   }
-  for (const int link : comp_links_) {
-    Link& l = links_[static_cast<std::size_t>(link)];
-    l.unfrozen = static_cast<int>(l.flows.size());
+  for (const std::size_t link : comp_links_) {
+    Link& l = links_[link];
+    l.unfrozen = l.flows;
     l.frozen_sum = 0;
     l.saturated = false;
   }
+  work_.recomputes += 1;
+  work_.classes_visited += comp_classes_.size();
+  work_.members_touched += static_cast<std::uint64_t>(comp_flows);
 
   if (config_.qos.wfq) {
-    FillWeighted();
+    FillWeighted(comp_flows);
   } else {
-    FillMaxMin();
+    FillMaxMin(comp_flows);
   }
 
-  for (const CompFlow& cf : comp_flows_) {
-    ++cf.flow->gen;
-    PushCompletionRecords(cf.id, *cf.flow);
+  // Every member now sits at `now` under its class's rate, so the class
+  // record is its smallest-remaining member's (see the file header).
+  for (const std::size_t cls : comp_classes_) {
+    const FlowClass& fc = classes_[cls];
+    SetRecord(cls, RecordOf(Member{fc.min_remaining, now, 0}, fc.rate));
   }
-  CompactHeaps();
   if (config_.qos.aqm) ArmAqmChecks();
   HOPLITE_AUDIT_SCOPE(AuditFairShare());
 }
 
-void RackFabric::FillMaxMin() {
+void RackFabric::FillMaxMin(int unfrozen_flows) {
   // Progressive filling by water levels: every round, the lowest per-link
   // fair share among unsaturated links is the level at which those links
   // saturate; their flows freeze at exactly that level. Assigning the level
   // directly (instead of accumulating per-round deltas) makes the result
   // independent of which other components happen to be recomputed alongside
   // — the component-local pass is bit-identical to a whole-fabric pass.
-  int unfrozen_flows = static_cast<int>(comp_flows_.size());
-  int guard = unfrozen_flows + static_cast<int>(comp_links_.size()) + 1;
+  int guard = static_cast<int>(comp_classes_.size() + comp_links_.size()) + 1;
   while (unfrozen_flows > 0 && guard-- > 0) {
     double level = std::numeric_limits<double>::infinity();
-    for (const int link : comp_links_) {
-      Link& l = links_[static_cast<std::size_t>(link)];
+    for (const std::size_t link : comp_links_) {
+      const Link& l = links_[link];
       if (l.unfrozen == 0 || l.saturated) continue;
       const double share = std::max(0.0, l.capacity - l.frozen_sum) / l.unfrozen;
       level = std::min(level, share);
     }
     HOPLITE_CHECK(std::isfinite(level)) << "unfrozen flow with no unsaturated link";
-    for (const int link : comp_links_) {
-      Link& l = links_[static_cast<std::size_t>(link)];
+    for (const std::size_t link : comp_links_) {
+      Link& l = links_[link];
       if (l.unfrozen == 0 || l.saturated) continue;
       const double headroom = l.capacity - (l.frozen_sum + level * l.unfrozen);
       if (headroom <= l.capacity * 1e-9) l.saturated = true;
     }
-    for (const CompFlow& cf : comp_flows_) {
-      Flow& f = *cf.flow;
-      if (f.frozen) continue;
-      bool bottlenecked = false;
-      for (int i = 0; i < f.num_links && !bottlenecked; ++i) {
-        bottlenecked =
-            links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])].saturated;
+    const auto saturated = [this](std::size_t link) { return links_[link].saturated; };
+    for (const std::size_t cls : comp_classes_) {
+      FlowClass& fc = classes_[cls];
+      if (fc.frozen || std::none_of(fc.links().begin(), fc.links().end(), saturated)) {
+        continue;
       }
-      if (!bottlenecked) continue;
-      f.frozen = true;
-      f.rate = level;
-      --unfrozen_flows;
-      for (int i = 0; i < f.num_links; ++i) {
-        Link& l = links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])];
-        l.unfrozen -= 1;
-        l.frozen_sum += level;
+      const int size = static_cast<int>(fc.members.size());
+      fc.frozen = true;
+      fc.rate = level;
+      unfrozen_flows -= size;
+      std::array<double, 4> sums{};
+      for (std::size_t i = 0; i < fc.num_links; ++i) {
+        sums[i] = links_[fc.link_slots[i]].frozen_sum;
+      }
+      AddPerMember(sums, level, size);
+      for (std::size_t i = 0; i < fc.num_links; ++i) {
+        links_[fc.link_slots[i]].unfrozen -= size;
+        links_[fc.link_slots[i]].frozen_sum = sums[i];
       }
     }
   }
   HOPLITE_CHECK_EQ(unfrozen_flows, 0) << "progressive filling did not converge";
 }
 
-void RackFabric::FillWeighted() {
+void RackFabric::FillWeighted(int unfrozen_flows) {
   // Hierarchical (two-level) max-min: each contended link divides capacity
   // across *tenant demand groups* in proportion to QosConfig weights, then
   // evenly across each group's flows. Each round solves every contended
@@ -341,38 +438,29 @@ void RackFabric::FillWeighted() {
   // are monotone non-decreasing across rounds, so assigning the global
   // minimum level directly keeps the component-local pass bit-identical to
   // a whole-fabric pass, exactly like FillMaxMin.
-  for (const int link : comp_links_) {
-    links_[static_cast<std::size_t>(link)].wfq.clear();
-  }
-  // Build each link's demand groups in first-appearance order of the
-  // id-sorted component flows: a deterministic order, so the solver's
-  // float-sum order is reproducible run to run.
-  for (const CompFlow& cf : comp_flows_) {
-    const Flow& f = *cf.flow;
-    for (int i = 0; i < f.num_links; ++i) {
-      Link& l = links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])];
-      qos::TenantDemand* group = nullptr;
-      for (qos::TenantDemand& g : l.wfq) {
-        if (g.tenant == f.tenant) {
-          group = &g;
-          break;
-        }
-      }
+  for (const std::size_t link : comp_links_) links_[link].wfq.clear();
+  // Build each link's demand groups in first-appearance order of the sorted
+  // component classes: a deterministic order, so the solver's float-sum
+  // order is reproducible run to run.
+  for (const std::size_t cls : comp_classes_) {
+    const FlowClass& fc = classes_[cls];
+    for (const std::size_t link : fc.links()) {
+      Link& l = links_[link];
+      qos::TenantDemand* group = GroupOf(l, fc.tenant);
       if (group == nullptr) {
-        l.wfq.push_back(qos::TenantDemand{f.tenant, config_.qos.WeightOf(f.tenant),
-                                          /*frozen=*/0.0, /*unfrozen=*/0, /*cand=*/0.0});
-        group = &l.wfq.back();
+        group = &l.wfq.emplace_back(qos::TenantDemand{
+            fc.tenant, config_.qos.WeightOf(fc.tenant), /*frozen=*/0.0, /*unfrozen=*/0,
+            /*cand=*/0.0});
       }
-      group->unfrozen += 1;
+      group->unfrozen += static_cast<int>(fc.members.size());
     }
   }
 
-  int unfrozen_flows = static_cast<int>(comp_flows_.size());
-  int guard = unfrozen_flows + static_cast<int>(comp_links_.size()) + 1;
+  int guard = static_cast<int>(comp_classes_.size() + comp_links_.size()) + 1;
   while (unfrozen_flows > 0 && guard-- > 0) {
     double best = std::numeric_limits<double>::infinity();
-    for (const int link : comp_links_) {
-      Link& l = links_[static_cast<std::size_t>(link)];
+    for (const std::size_t link : comp_links_) {
+      Link& l = links_[link];
       if (l.unfrozen == 0) continue;
       const double nu = qos::SolveTenantWaterLevel(l.wfq, l.capacity);
       for (qos::TenantDemand& g : l.wfq) {
@@ -384,35 +472,26 @@ void RackFabric::FillWeighted() {
     HOPLITE_CHECK(std::isfinite(best)) << "unfrozen flow with no contended link";
     const double rate = std::max(best, kMinRate);
     const double cut = best + std::max(best, 1.0) * kFreezeEps;
-    for (const CompFlow& cf : comp_flows_) {
-      Flow& f = *cf.flow;
-      if (f.frozen) continue;
-      bool tightest = false;
-      for (int i = 0; i < f.num_links && !tightest; ++i) {
-        const Link& l =
-            links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])];
-        for (const qos::TenantDemand& g : l.wfq) {
-          if (g.tenant == f.tenant) {
-            tightest = g.unfrozen > 0 && g.cand <= cut;
-            break;
-          }
-        }
-      }
-      if (!tightest) continue;
-      f.frozen = true;
-      f.rate = rate;
-      --unfrozen_flows;
-      for (int i = 0; i < f.num_links; ++i) {
-        Link& l = links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])];
-        l.unfrozen -= 1;
-        l.frozen_sum += rate;
-        for (qos::TenantDemand& g : l.wfq) {
-          if (g.tenant == f.tenant) {
-            g.frozen += rate;
-            g.unfrozen -= 1;
-            break;
-          }
-        }
+    for (const std::size_t cls : comp_classes_) {
+      FlowClass& fc = classes_[cls];
+      const auto tightest = [&](std::size_t link) {
+        const qos::TenantDemand* group = GroupOf(links_[link], fc.tenant);
+        return group->unfrozen > 0 && group->cand <= cut;
+      };
+      if (fc.frozen || std::none_of(fc.links().begin(), fc.links().end(), tightest)) continue;
+      const int size = static_cast<int>(fc.members.size());
+      fc.frozen = true;
+      fc.rate = rate;
+      unfrozen_flows -= size;
+      for (const std::size_t link : fc.links()) {
+        Link& l = links_[link];
+        qos::TenantDemand* group = GroupOf(l, fc.tenant);
+        l.unfrozen -= size;
+        group->unfrozen -= size;
+        std::array<double, 2> sums{l.frozen_sum, group->frozen};
+        AddPerMember(sums, rate, size);
+        l.frozen_sum = sums[0];
+        group->frozen = sums[1];
       }
     }
   }
@@ -420,25 +499,13 @@ void RackFabric::FillWeighted() {
 }
 
 void RackFabric::ArmAqmChecks() {
-  // Only ToR uplinks carry AQM queues (the oversubscribed resource). Flows
-  // on a component link were just materialized and re-rated by Recompute,
-  // so `remaining` / `rate` are current.
-  const int first_up = 2 * config_.num_nodes;
-  const int last_up = first_up + num_racks_;
-  for (const int link : comp_links_) {
-    if (link < first_up || link >= last_up) continue;
-    det::Map<qos::TenantId, std::pair<double, double>> queues;  // bytes, rate
-    for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-      const Flow& f = flows_.find(id)->second;
-      auto& [bytes, rate] = queues[f.tenant];
-      bytes += f.remaining;
-      rate += f.rate;
-    }
-    for (const auto& [tenant, load] : queues) {
-      const auto& [bytes, rate] = load;
-      if (rate <= 0.0) continue;
-      if (bytes * 1e9 <= static_cast<double>(aqm_.sojourn_target()) * rate) continue;
-      if (aqm_.Arm(link, tenant)) {
+  // Only ToR uplinks carry AQM queues (the oversubscribed resource).
+  for (const std::size_t link : comp_links_) {
+    if (link < UplinkLink(0) || link >= DownlinkLink(0)) continue;
+    det::Set<qos::TenantId> tenants;
+    for (const std::size_t cls : links_[link].classes) tenants.insert(classes_[cls].tenant);
+    for (const qos::TenantId tenant : tenants) {
+      if (SojournAboveTarget(link, tenant) && aqm_.Arm(static_cast<int>(link), tenant)) {
         sim_.ScheduleAfter(aqm_.interval(),
                            [this, link, tenant] { OnAqmCheck(link, tenant); });
       }
@@ -446,25 +513,24 @@ void RackFabric::ArmAqmChecks() {
   }
 }
 
-std::pair<double, double> RackFabric::TenantLoadOn(int link,
-                                                   qos::TenantId tenant) const {
+bool RackFabric::SojournAboveTarget(std::size_t link, qos::TenantId tenant) const {
   const SimTime now = sim_.Now();
   double bytes = 0;
   double rate = 0;
-  for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-    const Flow& f = flows_.find(id)->second;
-    if (f.tenant != tenant) continue;
-    bytes += RemainingAt(f, now);
-    rate += f.rate;
+  for (const std::size_t cls : links_[link].classes) {
+    const FlowClass& fc = classes_[cls];
+    if (fc.tenant != tenant) continue;
+    for (const Member& m : fc.members) {
+      bytes += RemainingAt(m, fc.rate, now);
+      rate += fc.rate;
+    }
   }
-  return {bytes, rate};
+  return rate > 0.0 && bytes * 1e9 > static_cast<double>(aqm_.sojourn_target()) * rate;
 }
 
-void RackFabric::OnAqmCheck(int link, qos::TenantId tenant) {
-  const auto [bytes, rate] = TenantLoadOn(link, tenant);
-  const bool above =
-      rate > 0.0 && bytes * 1e9 > static_cast<double>(aqm_.sojourn_target()) * rate;
-  const qos::CodelAqm::Verdict verdict = aqm_.OnCheck(link, tenant, above);
+void RackFabric::OnAqmCheck(std::size_t link, qos::TenantId tenant) {
+  const qos::CodelAqm::Verdict verdict =
+      aqm_.OnCheck(static_cast<int>(link), tenant, SojournAboveTarget(link, tenant));
   if (!verdict.mark) return;  // back under target: queue reset to quiescent
 
   // CoDel's early "drop", applied to the queue the sojourn was measured
@@ -473,16 +539,17 @@ void RackFabric::OnAqmCheck(int link, qos::TenantId tenant) {
   // Pausing a single flow could not help anyone under WFQ — the tenant's
   // link share is unchanged while its other flows stay on the wire — so
   // the mark backs the whole per-tenant queue off, the flow-queuing
-  // analogue of CE-marking the aggregate.
+  // analogue of CE-marking the aggregate. Flows pause in ascending id.
   std::vector<TransferId> queue;
-  for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-    if (flows_.find(id)->second.tenant == tenant) queue.push_back(id);
-  }
   det::Set<NodeID> senders;
-  for (const TransferId id : queue) {
-    senders.insert(flows_.find(id)->second.src);
-    PauseFlow(id);
+  for (const std::size_t cls : links_[link].classes) {
+    const FlowClass& fc = classes_[cls];
+    if (fc.tenant != tenant) continue;
+    senders.insert(fc.src);
+    for (const Member& m : fc.members) queue.push_back(m.id);
   }
+  std::sort(queue.begin(), queue.end());
+  for (const TransferId id : queue) PauseFlow(id);
   for (const NodeID src : senders) NotifyBackpressure(src, tenant);
   sim_.ScheduleAfter(verdict.next_check,
                      [this, link, tenant] { OnAqmCheck(link, tenant); });
@@ -493,10 +560,9 @@ void RackFabric::PauseFlow(TransferId id) {
   HOPLITE_CHECK(it != flows_.end());
   Flow& flow = it->second;
   HOPLITE_CHECK(flow.stage == Stage::kWire);
-  Materialize(flow, sim_.Now());
-  std::vector<int>& dirty = dirty_scratch_;
+  std::vector<std::size_t>& dirty = dirty_scratch_;
   dirty.clear();
-  DetachFromLinks(id, flow, dirty);
+  flow.remaining = LeaveClass(id, flow, dirty);
   flow.stage = Stage::kPaused;
   flow.delivery_event =
       sim_.ScheduleAfter(aqm_.pause(), [this, id] { ResumeFlow(id); });
@@ -511,10 +577,9 @@ void RackFabric::ResumeFlow(TransferId id) {
   HOPLITE_CHECK(flow.stage == Stage::kPaused);
   flow.stage = Stage::kWire;
   flow.delivery_event = sim::EventId{};
-  flow.anchor = sim_.Now();
-  std::vector<int>& dirty = dirty_scratch_;
+  std::vector<std::size_t>& dirty = dirty_scratch_;
   dirty.clear();
-  AssignLinks(id, flow, dirty);
+  JoinClass(id, flow, flow.remaining, dirty);
   Recompute(dirty);
   RescheduleCompletion();
 }
@@ -525,111 +590,125 @@ void RackFabric::AuditFairShare() const {
   const double eps = 1e-3;
   std::vector<double> rate_sum(links_.size(), 0);
   std::vector<double> rate_max(links_.size(), 0);
-  std::size_t wire_flows_on_links = 0;
   for (std::size_t link = 0; link < links_.size(); ++link) {
-    for (const TransferId id : links_[link].flows) {
-      const auto it = flows_.find(id);
-      HOPLITE_AUDIT(it != flows_.end()) << "link lists unknown flow " << id;
-      const Flow& f = it->second;
-      HOPLITE_AUDIT(f.stage == Stage::kWire) << "link lists delivered flow " << id;
-      rate_sum[link] += f.rate;
-      rate_max[link] = std::max(rate_max[link], f.rate);
+    int flows_on_link = 0;
+    for (const std::size_t cls : links_[link].classes) {
+      const FlowClass& fc = classes_[cls];
+      rate_sum[link] += fc.rate * static_cast<double>(fc.members.size());
+      rate_max[link] = std::max(rate_max[link], fc.rate);
+      flows_on_link += static_cast<int>(fc.members.size());
     }
-    wire_flows_on_links += links_[link].flows.size();
+    // Counts every listing, so a class listed on a foreign link shows too.
+    HOPLITE_AUDIT(flows_on_link == links_[link].flows) << "link " << link << " flow count";
     // Rate conservation: granted fair shares never exceed the link capacity.
     // WFQ mode clamps frozen rates to kMinRate, which can numerically
     // overshoot by up to one clamp per flow on the link.
-    const double clamp_slack =
-        config_.qos.wfq ? static_cast<double>(links_[link].flows.size()) * kMinRate : 0.0;
+    const double clamp_slack = config_.qos.wfq ? links_[link].flows * kMinRate : 0.0;
     HOPLITE_AUDIT(rate_sum[link] <= links_[link].capacity * (1 + 1e-6) + eps + clamp_slack)
         << "link " << link << " oversubscribed: " << rate_sum[link] << " of "
         << links_[link].capacity;
   }
+  std::size_t class_members = 0;
+  for (std::size_t cls = 0; cls < classes_.size(); ++cls) {
+    const FlowClass& fc = classes_[cls];
+    class_members += fc.members.size();
+    if (fc.members.empty()) continue;  // a free slot
+    // Membership: each member is a live wire flow of this class, ids
+    // ascending, and the class is listed once on each of its links.
+    for (std::size_t i = 0; i < fc.members.size(); ++i) {
+      const Member& m = fc.members[i];
+      const auto it = flows_.find(m.id);
+      HOPLITE_AUDIT(it != flows_.end() && it->second.stage == Stage::kWire &&
+                    it->second.cls == cls && (i == 0 || fc.members[i - 1].id < m.id) &&
+                    m.remaining >= 0)
+          << "flow " << m.id << " misfiled in class " << cls;
+    }
+    for (const std::size_t link : fc.links()) {
+      const auto& on_link = links_[link].classes;
+      HOPLITE_AUDIT(std::count(on_link.begin(), on_link.end(), cls) == 1)
+          << "class " << cls << " not listed once on link " << link;
+    }
+    // The class record is the per-member minimum (monotonicity at a common
+    // anchor makes Recompute's smallest-remaining shortcut exact), and the
+    // class sits in the heaps exactly when it has one.
+    const Record least = MinRecordOf(fc);
+    HOPLITE_AUDIT(least.own == fc.t_own && least.half == fc.t_half &&
+                  (fc.own_pos != kNotInHeap) == (fc.t_own != kSimTimeMax) &&
+                  (fc.half_pos != kNotInHeap) == (fc.t_own != kSimTimeMax))
+        << "class " << cls << " record (" << fc.t_own << ", " << fc.t_half
+        << ") vs member minimum (" << least.own << ", " << least.half << ")";
+    // Max-min optimality: every class is bottlenecked somewhere — it crosses
+    // a link with no slack where no concurrent flow gets more. Per-flow
+    // equality does not hold under WFQ (shares are weighted by tenant and
+    // split within the tenant, so concurrent flows on the bottleneck
+    // legitimately differ); conservation, membership and the counters are
+    // the audited invariants in that mode.
+    HOPLITE_AUDIT(config_.qos.wfq ||
+                  std::any_of(fc.links().begin(), fc.links().end(), [&](std::size_t link) {
+                    return links_[link].capacity - rate_sum[link] <=
+                               links_[link].capacity * 1e-6 + eps &&
+                           fc.rate >= rate_max[link] - eps;
+                  }))
+        << "class " << cls << " (rate " << fc.rate << ") has no max-min bottleneck";
+  }
   std::size_t wire_count = 0;
   for (const TransferId id : det::SortedKeys(flows_)) {
-    const Flow& f = flows_.find(id)->second;
-    if (f.stage != Stage::kWire) continue;
-    ++wire_count;
-    HOPLITE_AUDIT(f.num_links == 2 || f.num_links == 4)
-        << "wire flow " << id << " crosses " << f.num_links << " links";
-    HOPLITE_AUDIT(f.rate >= 0 && f.remaining >= 0) << "flow " << id;
-    // Max-min optimality: every wire flow is bottlenecked somewhere — it
-    // crosses a link with no slack where no concurrent flow gets more.
-    // Per-flow equality does not hold under WFQ (shares are weighted by
-    // tenant and split within the tenant, so concurrent flows on the
-    // bottleneck legitimately differ); conservation, membership and the
-    // counters above are the audited invariants in that mode.
-    if (!config_.qos.wfq) {
-      bool bottlenecked = false;
-      for (int i = 0; i < f.num_links && !bottlenecked; ++i) {
-        const auto link = static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)]);
-        const double slack = links_[link].capacity - rate_sum[link];
-        bottlenecked = slack <= links_[link].capacity * 1e-6 + eps &&
-                       f.rate >= rate_max[link] - eps;
-      }
-      HOPLITE_AUDIT(bottlenecked)
-          << "flow " << id << " (rate " << f.rate << ") has no max-min bottleneck";
-    }
-    // Membership: the flow appears on each of its links' lists.
-    for (int i = 0; i < f.num_links; ++i) {
-      const auto& on_link =
-          links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])].flows;
-      HOPLITE_AUDIT(std::find(on_link.begin(), on_link.end(), id) != on_link.end())
-          << "flow " << id << " missing from its link list";
-    }
+    if (flows_.find(id)->second.stage == Stage::kWire) ++wire_count;
   }
-  HOPLITE_AUDIT(wire_count == wire_flow_count_)
-      << "(" << wire_count << " wire flows vs counter " << wire_flow_count_ << ")";
-  // Every link membership belongs to a wire flow, and wire flows appear on
-  // exactly num_links lists: the totals must agree.
-  std::size_t expected_memberships = 0;
-  for (const TransferId id : det::SortedKeys(flows_)) {
-    const Flow& f = flows_.find(id)->second;
-    if (f.stage == Stage::kWire) {
-      expected_memberships += static_cast<std::size_t>(f.num_links);
-    }
-  }
-  HOPLITE_AUDIT(wire_flows_on_links == expected_memberships)
-      << "(" << wire_flows_on_links << " link memberships vs " << expected_memberships << ")";
+  HOPLITE_AUDIT(wire_count == wire_flow_count_ && class_members == wire_flow_count_)
+      << "(" << wire_count << " wire flows, " << class_members << " class members vs counter "
+      << wire_flow_count_ << ")";
 }
 
-void RackFabric::PushCompletionRecords(TransferId id, Flow& flow) {
-  const SimTime now = flow.anchor;
-  SimTime t_own = kSimTimeMax;
-  SimTime t_half = kSimTimeMax;
-  if (flow.remaining <= kDoneBytes) {
-    t_own = now;
-    t_half = now;
-  } else if (flow.rate > 0) {
-    const double own_ns = std::ceil(flow.remaining / flow.rate * 1e9);
-    if (own_ns < static_cast<double>(kSimTimeMax - now)) {
-      // Floor of one nanosecond: a residue that rounds to a zero-length
-      // completion must still move time forward, or the completion event
-      // reschedules itself at `now` forever.
-      t_own = now + std::max<SimTime>(1, static_cast<SimTime>(own_ns));
-      const double half_ns = std::ceil((flow.remaining - kDoneBytes) / flow.rate * 1e9);
-      t_half = now + std::max<SimTime>(1, static_cast<SimTime>(std::max(0.0, half_ns)));
-      // ceil() worked on rounded quotients; nudge onto the exact boundary
-      // of the booked-remaining test so the sweep window matches a full
-      // per-event scan. At most a couple of probes each way.
-      for (int probe = 0; probe < 4 && t_half > now + 1 &&
-                          RemainingAt(flow, t_half - 1) <= kDoneBytes;
-           ++probe) {
-        --t_half;
+void RackFabric::SetRecord(std::size_t cls, Record record) {
+  FlowClass& fc = classes_[cls];
+  fc.t_own = record.own;
+  fc.t_half = record.half;
+  const bool listed = record.own != kSimTimeMax;
+  if (listed) work_.heap_pushes += 1;
+  for (RecordHeap* heap : {&own_heap_, &half_heap_}) {
+    std::size_t& pos = fc.*heap->pos;
+    if (listed) {
+      if (pos == kNotInHeap) {
+        pos = heap->slots.size();
+        heap->slots.push_back(cls);
       }
-      for (int probe = 0;
-           probe < 4 && t_half < t_own && RemainingAt(flow, t_half) > kDoneBytes;
-           ++probe) {
-        ++t_half;
-      }
-      t_half = std::min(t_half, t_own);
+      HeapSift(*heap, pos);
+    } else if (pos != kNotInHeap) {
+      // Unlist: the tail slot fills the hole and sifts from there.
+      const std::size_t hole = std::exchange(pos, kNotInHeap);
+      heap->slots[hole] = heap->slots.back();
+      heap->slots.pop_back();
+      if (hole < heap->slots.size()) HeapSift(*heap, hole);
     }
   }
-  if (t_own == kSimTimeMax) return;  // no rate: waits for the next recompute
-  own_heap_.push_back(HeapEntry{t_own, id, flow.gen});
-  std::push_heap(own_heap_.begin(), own_heap_.end(), EntryLater{});
-  half_heap_.push_back(HeapEntry{t_half, id, flow.gen});
-  std::push_heap(half_heap_.begin(), half_heap_.end(), EntryLater{});
+}
+
+void RackFabric::HeapSift(RecordHeap& heap, std::size_t index) {
+  // A changed key moves one way only: up past later parents, else down past
+  // earlier children. Ties break by slot, so the order is strict.
+  std::vector<std::size_t>& slots = heap.slots;
+  const std::size_t cls = slots[index];
+  const auto before = [&](std::size_t a, std::size_t b) {
+    const SimTime ta = classes_[a].*heap.time;
+    const SimTime tb = classes_[b].*heap.time;
+    return ta != tb ? ta < tb : a < b;
+  };
+  const auto place = [&](std::size_t at, std::size_t slot) {
+    slots[at] = slot;
+    classes_[slot].*heap.pos = at;
+  };
+  while (index > 0 && before(cls, slots[(index - 1) / 2])) {
+    place(index, slots[(index - 1) / 2]);
+    index = (index - 1) / 2;
+  }
+  for (std::size_t child = 2 * index + 1; child < slots.size(); child = 2 * index + 1) {
+    if (child + 1 < slots.size() && before(slots[child + 1], slots[child])) ++child;
+    if (!before(slots[child], cls)) break;
+    place(index, slots[child]);
+    index = child;
+  }
+  place(index, cls);
 }
 
 void RackFabric::RescheduleCompletion() {
@@ -637,73 +716,79 @@ void RackFabric::RescheduleCompletion() {
     sim_.Cancel(completion_event_);
     completion_event_ = sim::EventId{};
   }
+  if (own_heap_.slots.empty()) return;
   const SimTime now = sim_.Now();
-  const auto valid_top = [this](std::vector<HeapEntry>& heap) -> const HeapEntry* {
-    while (!heap.empty()) {
-      const HeapEntry& top = heap.front();
-      if (IsStale(top)) {
-        std::pop_heap(heap.begin(), heap.end(), EntryLater{});
-        heap.pop_back();
-        continue;
-      }
-      return &top;
-    }
-    return nullptr;
-  };
-  const HeapEntry* own = valid_top(own_heap_);
-  if (own == nullptr) return;
-  SimTime at = std::max(own->time, now);
+  SimTime at = std::max(classes_[own_heap_.slots.front()].t_own, now);
   // A flow whose residue has already drained under the done threshold
   // completes at the very next opportunity: any mutation that lands while
   // it is sub-residue fires the completion sweep immediately, exactly like
-  // the old per-event full scan's `remaining <= done -> at = now` rule.
-  const HeapEntry* half = valid_top(half_heap_);
-  if (half != nullptr && half->time <= now) at = now;
+  // a per-event full scan's `remaining <= done -> at = now` rule.
+  if (classes_[half_heap_.slots.front()].t_half <= now) at = now;
   completion_event_ = sim_.ScheduleAt(at, [this] { OnWireCompletion(); });
 }
 
 void RackFabric::OnWireCompletion() {
   completion_event_ = sim::EventId{};
   const SimTime now = sim_.Now();
+  // Due classes: those whose piggyback window opened for some member. They
+  // leave the heaps here; each gets a fresh record below or in Recompute.
+  std::vector<std::size_t>& due = due_scratch_;
+  due.clear();
+  while (!half_heap_.slots.empty() && classes_[half_heap_.slots.front()].t_half <= now) {
+    due.push_back(half_heap_.slots.front());
+    SetRecord(due.back(), Record{});
+  }
+
+  // The per-flow sweep over each due class: a member whose window opened
+  // completes if its residue is under the threshold; finished members are
+  // compacted out in place (the rest stay id-sorted).
   std::vector<TransferId>& done = done_scratch_;
-  std::vector<TransferId>& not_yet = not_yet_scratch_;
   done.clear();
-  not_yet.clear();
-  while (!half_heap_.empty() && half_heap_.front().time <= now) {
-    const HeapEntry e = half_heap_.front();
-    std::pop_heap(half_heap_.begin(), half_heap_.end(), EntryLater{});
-    half_heap_.pop_back();
-    if (IsStale(e)) continue;
-    if (RemainingAt(flows_.find(e.id)->second, now) <= kDoneBytes) {
-      done.push_back(e.id);
+  std::vector<std::size_t>& dirty = dirty_scratch_;
+  dirty.clear();
+  for (const std::size_t cls : due) {
+    FlowClass& fc = classes_[cls];
+    std::vector<Member>& members = fc.members;
+    work_.members_touched += members.size();
+    // At one anchor and rate the window opens monotonically in the residue
+    // (see the file header), so a residue at or above one whose window is
+    // still shut is shut too: most members skip RecordOf.
+    const SimTime bound_anchor = members.front().anchor;
+    double shut_from = std::numeric_limits<double>::infinity();
+    std::size_t kept = 0;
+    for (Member m : members) {
+      const bool bounded = m.anchor == bound_anchor;
+      if (bounded && m.remaining >= shut_from) {
+        // still shut: keep
+      } else if (RecordOf(m, fc.rate).half > now) {
+        if (bounded) shut_from = std::min(shut_from, m.remaining);
+      } else if (RemainingAt(m, fc.rate, now) <= kDoneBytes) {
+        done.push_back(m.id);
+        continue;
+      } else {
+        // Residue not under the threshold yet (the sweep window was
+        // conservative): re-anchor the member alone so the next event still
+        // sees it. A Recompute of its class would re-anchor it identically.
+        Materialize(m, fc.rate, now);
+      }
+      members[kept++] = m;
+    }
+    const auto finished = static_cast<int>(members.size() - kept);
+    members.resize(kept);
+    if (finished > 0) {
+      ShrinkClass(cls, finished, dirty);  // the Recompute below re-rates the class
     } else {
-      not_yet.push_back(e.id);
+      // Only re-anchored members: the class left its common anchor, so its
+      // record is taken member by member.
+      work_.members_touched += members.size();
+      SetRecord(cls, MinRecordOf(fc));
     }
   }
-  // Completions run in ascending TransferId order, exactly like the old
-  // whole-map sweep.
+  // Completions run in ascending TransferId order, exactly like a whole-map
+  // sweep.
   std::sort(done.begin(), done.end());
-  std::vector<int>& dirty = dirty_scratch_;
-  dirty.clear();
-  for (const TransferId id : done) {
-    Flow& flow = flows_.find(id)->second;
-    DetachFromLinks(id, flow, dirty);
-    EnterDeliveryStage(id, flow);
-  }
-  const bool recomputed = !dirty.empty();
-  if (recomputed) Recompute(dirty);
-  // Residue not under the threshold yet (the sweep window was conservative):
-  // re-anchor and push fresh records so the next event still sees the flow —
-  // unless this event's Recompute already refreshed it (its component shared
-  // a link with a completing flow), which would have made a pre-Recompute
-  // push instant garbage in both heaps.
-  for (const TransferId id : not_yet) {
-    Flow& flow = flows_.find(id)->second;
-    if (recomputed && flow.mark == epoch_) continue;
-    Materialize(flow, now);
-    ++flow.gen;
-    PushCompletionRecords(id, flow);
-  }
+  for (const TransferId id : done) EnterDeliveryStage(id, flows_.find(id)->second);
+  if (!dirty.empty()) Recompute(dirty);
   RescheduleCompletion();
 }
 
@@ -720,18 +805,6 @@ void RackFabric::EnterDeliveryStage(TransferId id, Flow& flow) {
     flows_.erase(it);
     cb();
   });
-}
-
-void RackFabric::CompactHeaps() {
-  const auto compact = [this](std::vector<HeapEntry>& heap) {
-    if (heap.size() < 64 || heap.size() <= 2 * wire_flow_count_ + 16) return;
-    heap.erase(std::remove_if(heap.begin(), heap.end(),
-                              [this](const HeapEntry& e) { return IsStale(e); }),
-               heap.end());
-    std::make_heap(heap.begin(), heap.end(), EntryLater{});
-  };
-  compact(own_heap_);
-  compact(half_heap_);
 }
 
 }  // namespace hoplite::net

@@ -56,7 +56,7 @@ TEST(BinomialTreeTest, EveryRankReachable) {
 
 TEST(MpiBroadcastTest, CompletesAndBeatsLinear) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(16));
+  net::FlatFabric net(sim, NetConfig(16));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   bool done = false;
   SimTime done_at = 0;
@@ -79,7 +79,7 @@ TEST(MpiBroadcastTest, InOrderArrivalsMakePartialProgress) {
   const std::int64_t size = GB(1);
   const SimDuration stagger = Milliseconds(300);
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(16));
+  net::FlatFabric net(sim, NetConfig(16));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   std::vector<Participant> parts;
   for (int i = 0; i < 16; ++i) {
@@ -98,7 +98,7 @@ TEST(MpiBroadcastTest, InOrderArrivalsMakePartialProgress) {
 TEST(MpiReduceTest, GatesOnLastArrival) {
   const std::int64_t size = MB(64);
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(8));
+  net::FlatFabric net(sim, NetConfig(8));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   auto parts = AllReadyAtZero(8);
   parts[5].ready_at = Seconds(3);  // straggler
@@ -110,7 +110,7 @@ TEST(MpiReduceTest, GatesOnLastArrival) {
 
 TEST(MpiReduceTest, TreeReduceNearBandwidthBound) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(16));
+  net::FlatFabric net(sim, NetConfig(16));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   SimTime done_at = 0;
   mpi.Reduce(AllReadyAtZero(16), GB(1)).Then([&] { done_at = sim.Now(); });
@@ -124,7 +124,7 @@ TEST(MpiReduceTest, TreeReduceNearBandwidthBound) {
 
 TEST(MpiGatherTest, RootIngressSerializes) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(8));
+  net::FlatFabric net(sim, NetConfig(8));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   SimTime done_at = 0;
   mpi.Gather(AllReadyAtZero(8), MB(64)).Then([&] { done_at = sim.Now(); });
@@ -135,7 +135,7 @@ TEST(MpiGatherTest, RootIngressSerializes) {
 
 TEST(MpiAllreduceTest, RingWithinTenPercentOfOptimal) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(16));
+  net::FlatFabric net(sim, NetConfig(16));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   SimTime done_at = 0;
   mpi.Allreduce(AllReadyAtZero(16), GB(1)).Then([&] { done_at = sim.Now(); });
@@ -147,7 +147,7 @@ TEST(MpiAllreduceTest, RingWithinTenPercentOfOptimal) {
 
 TEST(MpiAllreduceTest, SmallSizesUseLatencyBoundAlgorithm) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(16));
+  net::FlatFabric net(sim, NetConfig(16));
   MpiLikeCollectives mpi(sim, net, MpiConfig{});
   SimTime done_at = 0;
   mpi.Allreduce(AllReadyAtZero(16), KB(1)).Then([&] { done_at = sim.Now(); });
@@ -158,7 +158,7 @@ TEST(MpiAllreduceTest, SmallSizesUseLatencyBoundAlgorithm) {
 
 TEST(GlooTest, BroadcastIsLinearInReceivers) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(8));
+  net::FlatFabric net(sim, NetConfig(8));
   GlooLikeCollectives gloo(sim, net, GlooConfig{});
   SimTime done_at = 0;
   gloo.Broadcast(AllReadyAtZero(8), MB(64)).Then([&] { done_at = sim.Now(); });
@@ -169,7 +169,7 @@ TEST(GlooTest, BroadcastIsLinearInReceivers) {
 
 TEST(GlooTest, RingChunkedAllreduceNearOptimal) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(16));
+  net::FlatFabric net(sim, NetConfig(16));
   GlooLikeCollectives gloo(sim, net, GlooConfig{});
   SimTime done_at = 0;
   gloo.RingChunkedAllreduce(AllReadyAtZero(16), GB(1)).Then([&] { done_at = sim.Now(); });
@@ -181,7 +181,7 @@ TEST(GlooTest, RingChunkedAllreduceNearOptimal) {
 TEST(GlooTest, HalvingDoublingCompletes) {
   for (int n : {4, 8, 16, 12}) {  // includes a non-power-of-two
     sim::Simulator sim;
-    net::NetworkModel net(sim, NetConfig(n));
+    net::FlatFabric net(sim, NetConfig(n));
     GlooLikeCollectives gloo(sim, net, GlooConfig{});
     bool done = false;
     gloo.HalvingDoublingAllreduce(AllReadyAtZero(n), MB(32)).Then([&] { done = true; });
@@ -196,14 +196,14 @@ TEST(GlooTest, HalvingDoublingBeatsRingOnLatencyBoundSizes) {
   SimTime hd = 0;
   {
     sim::Simulator sim;
-    net::NetworkModel net(sim, NetConfig(16));
+    net::FlatFabric net(sim, NetConfig(16));
     GlooLikeCollectives gloo(sim, net, GlooConfig{});
     gloo.RingChunkedAllreduce(AllReadyAtZero(16), size).Then([&] { ring = sim.Now(); });
     sim.Run();
   }
   {
     sim::Simulator sim;
-    net::NetworkModel net(sim, NetConfig(16));
+    net::FlatFabric net(sim, NetConfig(16));
     GlooLikeCollectives gloo(sim, net, GlooConfig{});
     gloo.HalvingDoublingAllreduce(AllReadyAtZero(16), size).Then([&] { hd = sim.Now(); });
     sim.Run();
@@ -214,7 +214,7 @@ TEST(GlooTest, HalvingDoublingBeatsRingOnLatencyBoundSizes) {
 
 TEST(RayLikeTest, PutGetRoundTrip) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(2));
+  net::FlatFabric net(sim, NetConfig(2));
   RayLikeTransport ray(sim, net, RayLikeConfig::Ray());
   const ObjectID id = ObjectID::FromName("x");
   bool got = false;
@@ -226,7 +226,7 @@ TEST(RayLikeTest, PutGetRoundTrip) {
 
 TEST(RayLikeTest, GetParksUntilPut) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(2));
+  net::FlatFabric net(sim, NetConfig(2));
   RayLikeTransport ray(sim, net, RayLikeConfig::Ray());
   const ObjectID id = ObjectID::FromName("x");
   SimTime got_at = 0;
@@ -240,7 +240,7 @@ TEST(RayLikeTest, TransferSlowerThanRawNetwork) {
   // The effective-bandwidth model must make Ray visibly slower than the
   // wire for large objects (Figure 6c's gap).
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(2));
+  net::FlatFabric net(sim, NetConfig(2));
   RayLikeTransport ray(sim, net, RayLikeConfig::Ray());
   const ObjectID id = ObjectID::FromName("x");
   SimTime got_at = 0;
@@ -253,7 +253,7 @@ TEST(RayLikeTest, TransferSlowerThanRawNetwork) {
 
 TEST(RayLikeTest, BroadcastSerializesAtOwner) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(8));
+  net::FlatFabric net(sim, NetConfig(8));
   RayLikeTransport ray(sim, net, RayLikeConfig::Ray());
   const ObjectID id = ObjectID::FromName("model");
   SimTime done_at = 0;
@@ -267,7 +267,7 @@ TEST(RayLikeTest, BroadcastSerializesAtOwner) {
 
 TEST(RayLikeTest, ReduceFetchesEverythingToRoot) {
   sim::Simulator sim;
-  net::NetworkModel net(sim, NetConfig(8));
+  net::FlatFabric net(sim, NetConfig(8));
   RayLikeTransport ray(sim, net, RayLikeConfig::Ray());
   std::vector<ObjectID> sources;
   for (int i = 0; i < 8; ++i) {
@@ -290,7 +290,7 @@ TEST(RayLikeTest, DaskIsSlowerThanRay) {
   const ObjectID id = ObjectID::FromName("x");
   auto run = [&](RayLikeConfig cfg) {
     sim::Simulator sim;
-    net::NetworkModel net(sim, NetConfig(2));
+    net::FlatFabric net(sim, NetConfig(2));
     RayLikeTransport transport(sim, net, cfg);
     SimTime got_at = 0;
     transport.Put(0, id, MB(64));

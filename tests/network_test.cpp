@@ -24,7 +24,7 @@ ClusterConfig TestConfig(int nodes) {
 
 TEST(NetworkTest, SingleTransferLatencyPlusSerialization) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   SimTime delivered_at = -1;
   net.Send(0, 1, MB(1), [&] { delivered_at = sim.Now(); });
   sim.Run();
@@ -34,7 +34,7 @@ TEST(NetworkTest, SingleTransferLatencyPlusSerialization) {
 
 TEST(NetworkTest, ZeroByteMessageCostsOnlyLatency) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   SimTime delivered_at = -1;
   net.Send(0, 1, 0, [&] { delivered_at = sim.Now(); });
   sim.Run();
@@ -43,7 +43,7 @@ TEST(NetworkTest, ZeroByteMessageCostsOnlyLatency) {
 
 TEST(NetworkTest, EgressSerializesConcurrentSendsFromOneNode) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(3));
+  FlatFabric net(sim, TestConfig(3));
   std::vector<SimTime> deliveries;
   net.Send(0, 1, MB(8), [&] { deliveries.push_back(sim.Now()); });
   net.Send(0, 2, MB(8), [&] { deliveries.push_back(sim.Now()); });
@@ -56,7 +56,7 @@ TEST(NetworkTest, EgressSerializesConcurrentSendsFromOneNode) {
 
 TEST(NetworkTest, IngressSerializesConcurrentSendsIntoOneNode) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(3));
+  FlatFabric net(sim, TestConfig(3));
   std::vector<SimTime> deliveries;
   net.Send(0, 2, MB(8), [&] { deliveries.push_back(sim.Now()); });
   net.Send(1, 2, MB(8), [&] { deliveries.push_back(sim.Now()); });
@@ -69,7 +69,7 @@ TEST(NetworkTest, IngressSerializesConcurrentSendsIntoOneNode) {
 
 TEST(NetworkTest, DisjointPairsDoNotInterfere) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(4));
+  FlatFabric net(sim, TestConfig(4));
   std::vector<SimTime> deliveries;
   net.Send(0, 1, MB(8), [&] { deliveries.push_back(sim.Now()); });
   net.Send(2, 3, MB(8), [&] { deliveries.push_back(sim.Now()); });
@@ -84,7 +84,7 @@ TEST(NetworkTest, ChunkedRelayPipelines) {
   // Forwarding chunk-by-chunk through a middle node should take roughly one
   // serialization of the whole object plus one chunk, not two of the whole.
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(3));
+  FlatFabric net(sim, TestConfig(3));
   constexpr std::int64_t kChunk = MB(1);
   constexpr int kChunks = 16;
   SimTime done_at = -1;
@@ -110,7 +110,7 @@ TEST(NetworkTest, ChunkedRelayPipelines) {
 
 TEST(NetworkTest, SelfSendUsesMemcpyResource) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   SimTime done_at = -1;
   net.Send(0, 0, MB(10), [&] { done_at = sim.Now(); });
   sim.Run();
@@ -119,7 +119,7 @@ TEST(NetworkTest, SelfSendUsesMemcpyResource) {
 
 TEST(NetworkTest, MemcpySerializesPerNode) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   std::vector<SimTime> done;
   net.Memcpy(0, MB(10), [&] { done.push_back(sim.Now()); });
   net.Memcpy(0, MB(10), [&] { done.push_back(sim.Now()); });
@@ -136,7 +136,7 @@ TEST(NetworkTest, PerMessageOverheadAddsToDelivery) {
   sim::Simulator sim;
   auto cfg = TestConfig(2);
   cfg.per_message_overhead = Microseconds(5);
-  NetworkModel net(sim, cfg);
+  FlatFabric net(sim, cfg);
   SimTime delivered_at = -1;
   net.Send(0, 1, 0, [&] { delivered_at = sim.Now(); });
   sim.Run();
@@ -147,7 +147,7 @@ TEST(NetworkTest, HeterogeneousBandwidthUsesSlowerEnd) {
   sim::Simulator sim;
   auto cfg = TestConfig(2);
   cfg.per_node_bandwidth = {Gbps(10), Gbps(1)};
-  NetworkModel net(sim, cfg);
+  FlatFabric net(sim, cfg);
   SimTime delivered_at = -1;
   net.Send(0, 1, MB(1), [&] { delivered_at = sim.Now(); });
   sim.Run();
@@ -156,7 +156,7 @@ TEST(NetworkTest, HeterogeneousBandwidthUsesSlowerEnd) {
 
 TEST(NetworkTest, FailedDestinationReportsFailureAfterDetectionDelay) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   net.FailNode(1);
   bool delivered = false;
   NodeID failed_node = kInvalidNode;
@@ -174,7 +174,7 @@ TEST(NetworkTest, FailedDestinationReportsFailureAfterDetectionDelay) {
 
 TEST(NetworkTest, InFlightTransferAbortsWhenNodeFails) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   bool delivered = false;
   NodeID failed_node = kInvalidNode;
   net.Send(0, 1, GB(1), [&] { delivered = true; },
@@ -189,7 +189,7 @@ TEST(NetworkTest, InFlightTransferAbortsWhenNodeFails) {
 
 TEST(NetworkTest, RecoveredNodeAcceptsTransfers) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   net.FailNode(1);
   EXPECT_TRUE(net.IsFailed(1));
   net.RecoverNode(1);
@@ -202,7 +202,7 @@ TEST(NetworkTest, RecoveredNodeAcceptsTransfers) {
 
 TEST(NetworkTest, CancelTransferSuppressesCallbacks) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   bool delivered = false;
   const TransferId id = net.Send(0, 1, MB(1), [&] { delivered = true; });
   EXPECT_TRUE(net.CancelTransfer(id));
@@ -213,7 +213,7 @@ TEST(NetworkTest, CancelTransferSuppressesCallbacks) {
 
 TEST(NetworkTest, TrafficCountersTrackBytes) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(3));
+  FlatFabric net(sim, TestConfig(3));
   net.Send(0, 1, MB(2), [] {});
   net.Send(0, 2, MB(3), [] {});
   net.Send(1, 0, MB(5), [] {});
@@ -230,7 +230,7 @@ TEST(NetworkTest, CancelAfterFailNodeReturnsFalseAndFailureStillReported) {
   // peer's failure notice, so a late CancelTransfer finds nothing to cancel
   // and cannot un-schedule the notice.
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   bool delivered = false;
   NodeID reported = kInvalidNode;
   const TransferId id =
@@ -246,7 +246,7 @@ TEST(NetworkTest, FailNodeAfterCancelFiresNoCallbacks) {
   // CancelTransfer wins the race: the flight is gone, so the subsequent
   // FailNode has nothing to report for it.
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   bool delivered = false;
   bool failure_reported = false;
   const TransferId id = net.Send(0, 1, MB(1), [&] { delivered = true; },
@@ -262,7 +262,7 @@ TEST(NetworkTest, TrafficCountedAtSendSurvivesInFlightFailure) {
   // Counters are committed when the bytes go on the wire; a mid-flight node
   // death does not refund them at either endpoint.
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   net.Send(0, 1, MB(4), [] {}, [](NodeID) {});
   net.FailNode(1);
   sim.Run();
@@ -275,7 +275,7 @@ TEST(NetworkTest, SendToAlreadyFailedNodeCountsNoTraffic) {
   // Nothing reaches the wire when the destination is known-dead at Send
   // time, so neither endpoint's counters move.
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   net.FailNode(1);
   net.Send(0, 1, MB(4), [] {}, [](NodeID) {});
   sim.Run();
@@ -290,7 +290,7 @@ TEST(NetworkTest, PerNodeBandwidthOverrideAppliesPerDirectionAndQueue) {
   sim::Simulator sim;
   auto cfg = TestConfig(3);
   cfg.per_node_bandwidth = {Gbps(10), Gbps(1), Gbps(10)};
-  NetworkModel net(sim, cfg);
+  FlatFabric net(sim, cfg);
   std::vector<SimTime> done(3, -1);
   net.Send(1, 0, MB(1), [&] { done[0] = sim.Now(); });
   net.Send(0, 2, MB(1), [&] { done[1] = sim.Now(); });
@@ -308,12 +308,12 @@ TEST(NetworkTest, PerNodeBandwidthOverrideSizeIsValidated) {
   sim::Simulator sim;
   auto cfg = TestConfig(3);
   cfg.per_node_bandwidth = {Gbps(10), Gbps(1)};  // one short
-  EXPECT_DEATH({ NetworkModel net(sim, cfg); }, "per-node bandwidth");
+  EXPECT_DEATH({ FlatFabric net(sim, cfg); }, "per-node bandwidth");
 }
 
 TEST(NetworkTest, EgressFreeAtReflectsQueue) {
   sim::Simulator sim;
-  NetworkModel net(sim, TestConfig(2));
+  FlatFabric net(sim, TestConfig(2));
   EXPECT_EQ(net.EgressFreeAt(0), 0);
   net.Send(0, 1, MB(8), [] {});
   const SimDuration ser = TransferTime(MB(8), Gbps(10));

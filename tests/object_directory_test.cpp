@@ -17,15 +17,15 @@ class DirectoryTest : public ::testing::Test {
  protected:
   DirectoryTest() : net_(MakeNetwork()), dir_(*net_, DirectoryConfig{}) {}
 
-  std::unique_ptr<net::NetworkModel> MakeNetwork() {
+  std::unique_ptr<net::FlatFabric> MakeNetwork() {
     net::ClusterConfig cfg;
     cfg.num_nodes = 8;
     cfg.per_message_overhead = 0;
-    return std::make_unique<net::NetworkModel>(sim_, cfg);
+    return std::make_unique<net::FlatFabric>(sim_, cfg);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::NetworkModel> net_;
+  std::unique_ptr<net::FlatFabric> net_;
   ObjectDirectory dir_;
   const ObjectID obj_ = ObjectID::FromName("payload");
 };

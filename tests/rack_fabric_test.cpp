@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -323,6 +324,40 @@ TEST(RackFabricTest, AggregateCrossRackThroughputMatchesUplink) {
   EXPECT_NEAR(last, expect, 4 * kRoundingSlackNs);
 }
 
+TEST(RackFabricTest, IncastWorkScalesWithFlowClassesNotFlows) {
+  // 1,000 flows from 4 senders to 4 receivers across one 16:1 uplink: at
+  // most 16 (src, dst) classes however many flows pile up. Each recompute
+  // re-rates classes and pushes one completion record per class, so heap
+  // pushes per recompute stay at the class count, never the flow count.
+  sim::Simulator sim;
+  RackFabric net(sim, RackConfig(8, 2, 16.0));
+  constexpr int kFlows = 1000;
+  constexpr std::uint64_t kMaxClasses = 16;
+  int delivered = 0;
+  std::size_t peak_wire_flows = 0;
+  for (int i = 0; i < kFlows; ++i) {
+    const auto src = static_cast<NodeID>(i % 4);
+    const auto dst = static_cast<NodeID>(4 + (i / 4) % 4);
+    const std::int64_t bytes = KB(64) + static_cast<std::int64_t>(i % 7) * KB(16);
+    sim.ScheduleAt(static_cast<SimTime>(i) * Microseconds(2),
+                   [&net, &delivered, &peak_wire_flows, src, dst, bytes] {
+                     net.Send(src, dst, bytes, [&delivered] { ++delivered; });
+                     peak_wire_flows = std::max(peak_wire_flows, net.wire_flows());
+                   });
+  }
+  sim.Run();
+  EXPECT_EQ(delivered, kFlows);
+  EXPECT_GT(peak_wire_flows, 200u) << "the uplink never piled up";
+
+  const RackFabric::WorkCounters& work = net.work_counters();
+  ASSERT_GT(work.recomputes, 0u);
+  EXPECT_LE(work.classes_visited, kMaxClasses * work.recomputes);
+  EXPECT_LE(work.heap_pushes, kMaxClasses * work.recomputes);
+  // Per-member arithmetic still happens (progress is booked per flow); only
+  // the hash, heap and sort work collapsed onto classes.
+  EXPECT_GT(work.members_touched, work.classes_visited);
+}
+
 // ----------------------------------------------------------------------
 // Golden trace: the exactness oracle of the fair-share engine. One seeded
 // mix is replayed and every observable outcome — each delivery's
@@ -378,12 +413,14 @@ GoldenTrace ReplayGoldenMix(bool wfq, bool aqm) {
     if (shape == 0) dst = static_cast<NodeID>((src + 1) % 4);  // intra-rack
     if (shape == 1) std::swap(src, dst);                      // reverse uplink
     const auto tenant = static_cast<qos::TenantId>(rng.NextBounded(3));
-    const std::int64_t bytes = rng.NextBounded(6) == 0
-                                   ? 1 + static_cast<std::int64_t>(rng.NextBounded(3))
-                                   : KB(64) + static_cast<std::int64_t>(rng.NextBounded(64)) * KB(32);
+    const std::int64_t bytes =
+        rng.NextBounded(6) == 0
+            ? 1 + static_cast<std::int64_t>(rng.NextBounded(3))
+            : KB(64) + static_cast<std::int64_t>(rng.NextBounded(64)) * KB(32);
     const SimDuration cancel_after =
-        i % 7 == 3 ? Microseconds(200) + static_cast<SimDuration>(rng.NextBounded(20'000)) * 1000
-                   : 0;
+        i % 7 == 3
+            ? Microseconds(200) + static_cast<SimDuration>(rng.NextBounded(20'000)) * 1000
+            : 0;
     const auto slot = static_cast<std::size_t>(i);
     sim.ScheduleAt(at, [&net, &sim, &trace, &ids, slot, src, dst, bytes, tenant,
                         cancel_after] {
