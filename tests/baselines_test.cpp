@@ -2,6 +2,10 @@
 // (trees, rings) and the timing properties the paper's comparison relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "baselines/collectives.h"
 #include "baselines/ray_like.h"
 #include "common/units.h"
@@ -299,6 +303,233 @@ TEST(RayLikeTest, DaskIsSlowerThanRay) {
     return got_at;
   };
   EXPECT_GT(run(RayLikeConfig::Dask()), run(RayLikeConfig::Ray()));
+}
+
+// ----------------------------------------------------------------------
+// Golden completions: the exactness oracle of the baselines. Every
+// collective runs over a grid of cluster sizes, object sizes and arrival
+// patterns, and each case's (op, n, bytes, staggered, completion ns) is
+// folded into an FNV-1a digest pinned below. Any change to how the
+// baselines schedule or complete their work must keep it bit for bit.
+// ----------------------------------------------------------------------
+
+/// One case: a fresh engine and fabric, plus the latest settle instant over
+/// every ref the case tracks.
+struct GoldenRun {
+  sim::Simulator sim;
+  net::FlatFabric net;
+  int n;
+  std::int64_t bytes;
+  bool staggered;
+  RayLikeConfig transport;
+  int pending = 0;
+  SimTime last = 0;
+
+  GoldenRun(int nodes, std::int64_t size, bool stagger, RayLikeConfig config)
+      : net(sim, NetConfig(nodes)),
+        n(nodes),
+        bytes(size),
+        staggered(stagger),
+        transport(config) {}
+
+  /// Rank i's arrival: all at zero, or a permutation of 300 us steps (7 is
+  /// coprime to every n of the grid).
+  [[nodiscard]] SimTime ReadyAt(int i) const {
+    return staggered ? Microseconds(300) * ((7 * i + 3) % n) : 0;
+  }
+  /// When a single-source op's object is Put: late enough to park Gets.
+  [[nodiscard]] SimTime PutAt() const { return staggered ? Microseconds(900) : 0; }
+
+  [[nodiscard]] std::vector<Participant> Ranks() const {
+    std::vector<Participant> parts;
+    for (int i = 0; i < n; ++i) {
+      parts.push_back(Participant{static_cast<NodeID>(i), ReadyAt(i)});
+    }
+    return parts;
+  }
+  [[nodiscard]] std::vector<NodeID> Receivers() const {
+    std::vector<NodeID> receivers;
+    for (int i = 1; i < n; ++i) receivers.push_back(static_cast<NodeID>(i));
+    return receivers;
+  }
+
+  template <typename T>
+  void Track(const Ref<T>& ref) {
+    ++pending;
+    ref.Then([this] {
+      --pending;
+      last = std::max(last, sim.Now());
+    });
+  }
+
+  /// Puts source i on node i at its arrival instant.
+  std::vector<ObjectID> PutSources(RayLikeTransport& ray) {
+    std::vector<ObjectID> sources;
+    for (int i = 0; i < n; ++i) {
+      const ObjectID id = ObjectID::FromName("golden-src").WithIndex(i);
+      sources.push_back(id);
+      sim.ScheduleAt(ReadyAt(i), [this, &ray, i, id] {
+        (void)ray.Put(static_cast<NodeID>(i), id, bytes);
+      });
+    }
+    return sources;
+  }
+};
+
+const ObjectID kGoldenObject = ObjectID::FromName("golden-obj");
+const ObjectID kGoldenTarget = ObjectID::FromName("golden-sum");
+
+/// Every rank i >= 1 sends to rank 0 at its arrival.
+void MpiSend(GoldenRun& run) {
+  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  for (int i = 1; i < run.n; ++i) {
+    run.sim.ScheduleAt(run.ReadyAt(i), [&run, &mpi, i] {
+      run.Track(mpi.Send(static_cast<NodeID>(i), 0, run.bytes));
+    });
+  }
+  run.sim.Run();
+}
+
+void MpiBroadcast(GoldenRun& run) {
+  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  run.Track(mpi.Broadcast(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+void MpiReduce(GoldenRun& run) {
+  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  run.Track(mpi.Reduce(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+void MpiGather(GoldenRun& run) {
+  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  run.Track(mpi.Gather(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+void MpiAllreduce(GoldenRun& run) {
+  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  run.Track(mpi.Allreduce(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+void GlooBroadcast(GoldenRun& run) {
+  GlooLikeCollectives gloo(run.sim, run.net, GlooConfig{});
+  run.Track(gloo.Broadcast(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+void GlooRingChunked(GoldenRun& run) {
+  GlooLikeCollectives gloo(run.sim, run.net, GlooConfig{});
+  run.Track(gloo.RingChunkedAllreduce(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+void GlooHalvingDoubling(GoldenRun& run) {
+  GlooLikeCollectives gloo(run.sim, run.net, GlooConfig{});
+  run.Track(gloo.HalvingDoublingAllreduce(run.Ranks(), run.bytes));
+  run.sim.Run();
+}
+
+/// Put -> parked Get: every node Gets at its arrival, the Put lands late.
+void TransportPutGet(GoldenRun& run) {
+  RayLikeTransport ray(run.sim, run.net, run.transport);
+  for (int i = 0; i < run.n; ++i) {
+    run.sim.ScheduleAt(run.ReadyAt(i), [&run, &ray, i] {
+      run.Track(ray.Get(static_cast<NodeID>(i), kGoldenObject));
+    });
+  }
+  run.sim.ScheduleAt(run.PutAt(),
+                     [&run, &ray] { (void)ray.Put(0, kGoldenObject, run.bytes); });
+  run.sim.Run();
+}
+
+/// Broadcast to nodes 1..n-1, so none at n = 1.
+void TransportBroadcast(GoldenRun& run) {
+  RayLikeTransport ray(run.sim, run.net, run.transport);
+  run.sim.ScheduleAt(run.PutAt(),
+                     [&run, &ray] { (void)ray.Put(0, kGoldenObject, run.bytes); });
+  run.Track(ray.Broadcast(kGoldenObject, run.Receivers()));
+  run.sim.Run();
+}
+
+void TransportGather(GoldenRun& run) {
+  RayLikeTransport ray(run.sim, run.net, run.transport);
+  run.Track(ray.Gather(0, run.PutSources(ray)));
+  run.sim.Run();
+}
+
+void TransportReduce(GoldenRun& run) {
+  RayLikeTransport ray(run.sim, run.net, run.transport);
+  run.Track(ray.Reduce(0, run.PutSources(ray), kGoldenTarget, run.bytes));
+  run.sim.Run();
+}
+
+void TransportAllreduce(GoldenRun& run) {
+  RayLikeTransport ray(run.sim, run.net, run.transport);
+  run.Track(
+      ray.Allreduce(0, run.PutSources(ray), kGoldenTarget, run.bytes, run.Receivers()));
+  run.sim.Run();
+}
+
+struct GoldenOp {
+  const char* name;
+  int min_nodes;
+  void (*issue)(GoldenRun&);
+  RayLikeConfig transport = RayLikeConfig::Ray();
+};
+
+TEST(BaselineGoldenTest, EveryCollectiveCompletionIsPinned) {
+  const std::vector<GoldenOp> ops = {
+      {"mpi-send", 2, &MpiSend},
+      {"mpi-broadcast", 1, &MpiBroadcast},
+      {"mpi-reduce", 1, &MpiReduce},
+      {"mpi-gather", 2, &MpiGather},
+      {"mpi-allreduce", 2, &MpiAllreduce},
+      {"gloo-broadcast", 2, &GlooBroadcast},
+      {"gloo-ring-chunked", 2, &GlooRingChunked},
+      {"gloo-halving-doubling", 2, &GlooHalvingDoubling},
+      {"ray-put-get", 1, &TransportPutGet, RayLikeConfig::Ray()},
+      {"ray-broadcast", 1, &TransportBroadcast, RayLikeConfig::Ray()},
+      {"ray-gather", 1, &TransportGather, RayLikeConfig::Ray()},
+      {"ray-reduce", 1, &TransportReduce, RayLikeConfig::Ray()},
+      {"ray-allreduce", 1, &TransportAllreduce, RayLikeConfig::Ray()},
+      {"dask-put-get", 1, &TransportPutGet, RayLikeConfig::Dask()},
+      {"dask-broadcast", 1, &TransportBroadcast, RayLikeConfig::Dask()},
+      {"dask-gather", 1, &TransportGather, RayLikeConfig::Dask()},
+      {"dask-reduce", 1, &TransportReduce, RayLikeConfig::Dask()},
+      {"dask-allreduce", 1, &TransportAllreduce, RayLikeConfig::Dask()},
+  };
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+  auto fold = [&digest](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  int cases = 0;
+  for (std::size_t op = 0; op < ops.size(); ++op) {
+    for (const int n : {1, 2, 3, 5, 6, 8, 12, 16}) {
+      if (n < ops[op].min_nodes) continue;
+      for (const std::int64_t bytes : {KB(1), MB(1), MB(48)}) {
+        for (const bool staggered : {false, true}) {
+          GoldenRun run(n, bytes, staggered, ops[op].transport);
+          ops[op].issue(run);
+          ASSERT_EQ(run.pending, 0) << ops[op].name << " n=" << n << " bytes=" << bytes
+                                    << " staggered=" << staggered << " never settled";
+          fold(op);
+          fold(static_cast<std::uint64_t>(n));
+          fold(static_cast<std::uint64_t>(bytes));
+          fold(staggered ? 1 : 0);
+          fold(static_cast<std::uint64_t>(run.last));
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 828);
+  EXPECT_EQ(digest, 0x653ace141240399fULL) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace

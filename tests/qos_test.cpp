@@ -257,6 +257,67 @@ TEST(QosAdmissionTest, FailedOpsRefundTheirToken) {
   EXPECT_EQ(cluster.simulator().Now(), Milliseconds(150));
 }
 
+TEST(QosAdmissionTest, InlineReduceHoldsOneSlotForItsInternalFetchesAndPut) {
+  // The small-object Reduce fetches its inline sources and Puts its result
+  // on behalf of the one admitted Reduce: those internal ops must not be
+  // admitted again, or a cap of 1 would throttle the Reduce's own work.
+  core::HopliteCluster cluster(AdmissionOptions(1000.0, 16.0, 1));
+  const TenantId tenant{1};
+  std::vector<ObjectID> sources;
+  for (int i = 0; i < 4; ++i) {
+    sources.push_back(ObjectID::FromName("small").WithIndex(i));
+    cluster.client(i).Put(sources.back(), store::Buffer::OfSize(KB(4)));
+  }
+  cluster.RunAll();
+
+  auto& client = cluster.client(0);
+  const Ref<core::ReduceResult> reduce = client.Reduce(core::ReduceSpec{
+      .target = ObjectID::FromName("small-sum"), .sources = sources, .tenant = tenant});
+  bool one_slot_throughout = true;
+  cluster.simulator().RunUntilPredicate([&] {
+    if (!reduce.settled()) one_slot_throughout &= client.outstanding_ops(tenant) == 1;
+    return reduce.settled();
+  });
+  cluster.RunAll();
+
+  ASSERT_TRUE(reduce.ready());
+  EXPECT_EQ(reduce.value().reduced.size(), 4u);
+  EXPECT_TRUE(one_slot_throughout);
+  EXPECT_EQ(client.throttled_ops(), 0);
+  EXPECT_EQ(client.paced_ops(), 0);
+  EXPECT_EQ(client.outstanding_ops(tenant), 0);
+}
+
+TEST(QosAdmissionTest, PacedGetThatTimesOutBeforeItsGrantIsShed) {
+  // 1 op/s, no burst: a tagged Put takes the token at t = 0, so a tagged Get
+  // issued at once is paced to the 1 s grant. Its 50 ms timeout fires
+  // first, and the dead op must not reach the protocol at the grant.
+  core::HopliteCluster cluster(AdmissionOptions(1.0, 0.0, 8));
+  const TenantId tenant{1};
+  const ObjectID remote = ObjectID::FromName("remote");
+  cluster.client(1).Put(remote, store::Buffer::OfSize(MB(1)));
+  cluster.RunAll();
+  const SimTime start = cluster.simulator().Now();
+
+  auto& client = cluster.client(0);
+  (void)client.Put(ObjectID::FromName("local"), store::Buffer::OfSize(MB(1)), tenant);
+  const auto get =
+      client.Get(remote, core::GetOptions{.timeout = Milliseconds(50), .tenant = tenant});
+  EXPECT_EQ(client.paced_ops(), 1);
+  // Scheduled after the Get, so it runs just after the paced issue.
+  bool fetch_at_grant = true;
+  cluster.simulator().ScheduleAt(start + Seconds(1), [&] {
+    fetch_at_grant = client.HasFetchSession(remote);
+  });
+  cluster.RunAll();
+
+  ASSERT_TRUE(get.failed());
+  EXPECT_EQ(get.error().code, RefErrorCode::kTimeout);
+  EXPECT_FALSE(fetch_at_grant);
+  EXPECT_EQ(cluster.network().TrafficOf(0).bytes_received, 0);
+  EXPECT_EQ(client.outstanding_ops(tenant), 0);
+}
+
 // ----------------------------------------------------------------------
 // Tenant-accounting edges.
 // ----------------------------------------------------------------------
