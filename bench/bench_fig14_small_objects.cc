@@ -24,7 +24,7 @@ namespace {
 double GlooOp(const std::string& op, int nodes, std::int64_t bytes) {
   sim::Simulator sim;
   const auto net = net::MakeFabric(sim, PaperCluster(nodes).network);
-  baselines::GlooLikeCollectives gloo(sim, *net, baselines::GlooConfig{});
+  baselines::GlooLikeCollectives gloo(sim, *net);
   Ref<SimTime> done;
   if (op == "broadcast") done = gloo.Broadcast(BaselineRanks(nodes), bytes);
   if (op == "allreduce") done = gloo.HalvingDoublingAllreduce(BaselineRanks(nodes), bytes);

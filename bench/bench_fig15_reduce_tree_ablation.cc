@@ -31,7 +31,6 @@ std::vector<Row> Run(const RunOptions& opt) {
   // Eq. (1) takes the fabric's per-hop latency and bandwidth; read them from
   // the same defaults the simulation runs on instead of restating constants.
   const net::ClusterConfig fabric;
-  const core::HopliteConfig protocol;
   std::vector<Row> rows;
   for (const std::int64_t bytes :
        opt.ObjectSizes({KB(4), KB(32), KB(256), MB(1), MB(4), MB(8), MB(16), MB(32)})) {
@@ -50,7 +49,7 @@ std::vector<Row> Run(const RunOptions& opt) {
       const int model_d = core::ChooseReduceDegree(
           n, ToSeconds(fabric.one_way_latency + fabric.per_message_overhead),
           fabric.nic_bandwidth, static_cast<double>(bytes),
-          static_cast<double>(protocol.chunk_size));
+          static_cast<double>(core::kChunkSize));
       point("eq1-degree", static_cast<double>(model_d), "degree");
     }
   }

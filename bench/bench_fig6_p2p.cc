@@ -40,7 +40,7 @@ double HopliteRtt(std::int64_t bytes, bool pipelining, int shards) {
 double MpiRtt(std::int64_t bytes) {
   sim::Simulator sim;
   const auto net = net::MakeFabric(sim, PaperCluster(2).network);
-  baselines::MpiLikeCollectives mpi(sim, *net, baselines::MpiConfig{});
+  baselines::MpiLikeCollectives mpi(sim, *net);
   SimTime done = 0;
   mpi.Send(0, 1, bytes).Then([&] {
     mpi.Send(1, 0, bytes).Then([&](SimTime t) { done = t; });

@@ -27,7 +27,7 @@ std::vector<baselines::Participant> StaggeredRanks(int nodes, SimDuration interv
 double MpiOp(const std::string& op, int nodes, std::int64_t bytes, SimDuration interval) {
   sim::Simulator sim;
   const auto net = net::MakeFabric(sim, PaperCluster(nodes).network);
-  baselines::MpiLikeCollectives mpi(sim, *net, baselines::MpiConfig{});
+  baselines::MpiLikeCollectives mpi(sim, *net);
   Ref<SimTime> done;
   if (op == "broadcast") done = mpi.Broadcast(StaggeredRanks(nodes, interval), bytes);
   if (op == "reduce") done = mpi.Reduce(StaggeredRanks(nodes, interval), bytes);
@@ -38,7 +38,7 @@ double MpiOp(const std::string& op, int nodes, std::int64_t bytes, SimDuration i
 double GlooRing(int nodes, std::int64_t bytes, SimDuration interval) {
   sim::Simulator sim;
   const auto net = net::MakeFabric(sim, PaperCluster(nodes).network);
-  baselines::GlooLikeCollectives gloo(sim, *net, baselines::GlooConfig{});
+  baselines::GlooLikeCollectives gloo(sim, *net);
   return FinishBaseline(sim,
                         gloo.RingChunkedAllreduce(StaggeredRanks(nodes, interval), bytes));
 }

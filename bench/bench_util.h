@@ -226,7 +226,7 @@ inline void CheckCollectiveOp(const std::string& op) {
   const int nodes = net_config.num_nodes;
   sim::Simulator sim;
   const auto net = net::MakeFabric(sim, net_config);
-  baselines::MpiLikeCollectives mpi(sim, *net, baselines::MpiConfig{});
+  baselines::MpiLikeCollectives mpi(sim, *net);
   Ref<SimTime> done;
   if (op == "broadcast") done = mpi.Broadcast(BaselineRanks(nodes), bytes);
   if (op == "gather") done = mpi.Gather(BaselineRanks(nodes), bytes);

@@ -105,8 +105,8 @@ struct StaticSync {
       : options(opt),
         rng(opt.seed),
         net(net::MakeFabric(sim, net::ClusterConfig{.num_nodes = opt.num_nodes})),
-        mpi(sim, *net, baselines::MpiConfig{}),
-        gloo(sim, *net, baselines::GlooConfig{}) {}
+        mpi(sim, *net),
+        gloo(sim, *net) {}
 
   SyncTrainingOptions options;
   Rng rng;

@@ -13,6 +13,21 @@ namespace {
 
 using store::ChunkLayout;
 
+/// Segment size for pipelined tree algorithms (OpenMPI segments large
+/// messages; 4 MB keeps it comparable to Hoplite's pipeline block).
+constexpr std::int64_t kSegmentBytes = 4 * 1024 * 1024;
+/// In-flight segments per tree edge (hides per-segment latency).
+constexpr int kWindow = 2;
+/// Message size below which allreduce uses recursive doubling instead of
+/// the ring (OpenMPI switches algorithms by size, see the footnote to
+/// Figure 7).
+constexpr std::int64_t kAllreduceRingThreshold = 64 * 1024;
+/// Above this size, broadcast switches from the binomial tree to the
+/// pipelined chain, mirroring OpenMPI's tuned decision tables: a k-child
+/// tree root pushes k full copies through its NIC, so large messages favor
+/// depth over fan-out.
+constexpr std::int64_t kChainThreshold = 4 * 1024 * 1024;
+
 [[nodiscard]] int FloorLog2(int x) {
   HOPLITE_CHECK_GT(x, 0);
   int log = 0;
@@ -26,6 +41,30 @@ using store::ChunkLayout;
   return gate;
 }
 
+[[nodiscard]] std::vector<NodeID> NodesOf(const std::vector<Participant>& participants) {
+  std::vector<NodeID> nodes;
+  nodes.reserve(participants.size());
+  for (const Participant& p : participants) nodes.push_back(p.node);
+  return nodes;
+}
+
+/// Ready, with its delivery instant, once `bytes` sent from `src` at `at`
+/// reached `dst`.
+[[nodiscard]] Ref<SimTime> SendAt(sim::Engine& sim, net::Fabric& net, SimTime at, NodeID src,
+                                  NodeID dst, std::int64_t bytes) {
+  RefPromise<SimTime> done(&sim, ObjectID{});
+  sim.ScheduleAt(at, [sim = &sim, net = &net, src, dst, bytes, done] {
+    net->Send(src, dst, bytes, [sim, done] { done.Resolve(sim->Now()); });
+  });
+  return done.ref();
+}
+
+/// Ready with the instant the last of `sends` was delivered.
+[[nodiscard]] Ref<SimTime> Last(const std::vector<Ref<SimTime>>& sends) {
+  return WhenAll(sends).Then(
+      [](const std::vector<SimTime>& at) { return *std::max_element(at.begin(), at.end()); });
+}
+
 // --------------------------------------------------------------------
 // Segmented binomial broadcast with per-edge readiness gating.
 // --------------------------------------------------------------------
@@ -35,7 +74,6 @@ struct TreeBroadcastOp : std::enable_shared_from_this<TreeBroadcastOp> {
   net::Fabric& net;
   ChunkLayout layout;
   std::int64_t total_chunks = 0;
-  int window = 2;
   bool chain = false;  ///< pipelined chain instead of binomial tree
   std::vector<Participant> parts;
   std::vector<std::int64_t> have;  ///< contiguous chunks present per position
@@ -49,9 +87,9 @@ struct TreeBroadcastOp : std::enable_shared_from_this<TreeBroadcastOp> {
   std::vector<Edge> edges;
   std::vector<std::vector<std::size_t>> edges_of_parent;
   int remaining_receivers = 0;
-  DoneCallback done;
+  RefPromise<SimTime> done;
 
-  TreeBroadcastOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n) {}
+  TreeBroadcastOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n), done(&s, ObjectID{}) {}
 
   void Start() {
     const int n = static_cast<int>(parts.size());
@@ -65,12 +103,13 @@ struct TreeBroadcastOp : std::enable_shared_from_this<TreeBroadcastOp> {
       edges_of_parent[static_cast<std::size_t>(edge.parent)].push_back(edges.size() - 1);
     }
     remaining_receivers = n - 1;
+    auto self = shared_from_this();
     if (remaining_receivers == 0) {
-      sim.ScheduleAt(std::max(sim.Now(), parts[0].ready_at), [done = done] { done(); });
+      sim.ScheduleAt(std::max(sim.Now(), parts[0].ready_at),
+                     [self] { self->done.Resolve(self->sim.Now()); });
       return;
     }
     // Root data becomes visible when the root arrives.
-    auto self = shared_from_this();
     sim.ScheduleAt(std::max(sim.Now(), parts[0].ready_at), [self] {
       self->have[0] = self->total_chunks;
       self->PumpParent(0);
@@ -98,7 +137,7 @@ struct TreeBroadcastOp : std::enable_shared_from_this<TreeBroadcastOp> {
     Edge& edge = edges[e];
     if (!edge.active) return;
     auto self = shared_from_this();
-    while (edge.in_flight < window &&
+    while (edge.in_flight < kWindow &&
            edge.next < have[static_cast<std::size_t>(edge.parent)]) {
       const std::int64_t chunk = edge.next++;
       edge.in_flight += 1;
@@ -115,7 +154,7 @@ struct TreeBroadcastOp : std::enable_shared_from_this<TreeBroadcastOp> {
     child_have = std::max(child_have, chunk + 1);
     if (child_have == total_chunks && chunk + 1 == total_chunks) {
       if (--remaining_receivers == 0) {
-        done();
+        done.Resolve(sim.Now());
         return;
       }
     }
@@ -133,7 +172,6 @@ struct TreeReduceOp : std::enable_shared_from_this<TreeReduceOp> {
   net::Fabric& net;
   ChunkLayout layout;
   std::int64_t total_chunks = 0;
-  int window = 2;
   std::vector<NodeID> nodes;
   int degree = 2;  ///< 1 = pipelined chain, 2 = binary tree
   /// Chunks of this position's (partially) reduced output that are ready.
@@ -146,10 +184,9 @@ struct TreeReduceOp : std::enable_shared_from_this<TreeReduceOp> {
   };
   std::vector<Edge> edges;                   ///< indexed by child position - 1
   std::vector<std::vector<int>> children_of;
-  DoneCallback done;
-  bool finished = false;
+  RefPromise<SimTime> done;
 
-  TreeReduceOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n) {}
+  TreeReduceOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n), done(&s, ObjectID{}) {}
 
   [[nodiscard]] int Parent(int i) const { return (i - 1) / degree; }
 
@@ -194,7 +231,7 @@ struct TreeReduceOp : std::enable_shared_from_this<TreeReduceOp> {
     if (position == 0) return;
     Edge& edge = edges[static_cast<std::size_t>(position - 1)];
     auto self = shared_from_this();
-    while (edge.in_flight < window && edge.next < out[static_cast<std::size_t>(position)]) {
+    while (edge.in_flight < kWindow && edge.next < out[static_cast<std::size_t>(position)]) {
       const std::int64_t chunk = edge.next++;
       edge.in_flight += 1;
       net.Send(nodes[static_cast<std::size_t>(position)],
@@ -212,9 +249,8 @@ struct TreeReduceOp : std::enable_shared_from_this<TreeReduceOp> {
   }
 
   void MaybeFinish() {
-    if (finished || out[0] < total_chunks) return;
-    finished = true;
-    done();
+    if (done.settled() || out[0] < total_chunks) return;
+    done.Resolve(sim.Now());
   }
 };
 
@@ -231,9 +267,9 @@ struct RingOp : std::enable_shared_from_this<RingOp> {
   std::vector<int> sends_issued;
   std::vector<int> recvs_done;
   int nodes_finished = 0;
-  DoneCallback done;
+  RefPromise<SimTime> done;
 
-  RingOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n) {}
+  RingOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n), done(&s, ObjectID{}) {}
 
   void Start(SimTime gate) {
     const int n = static_cast<int>(nodes.size());
@@ -264,7 +300,7 @@ struct RingOp : std::enable_shared_from_this<RingOp> {
     recvs = std::max(recvs, round + 1);
     if (recvs == total_rounds) {
       if (++nodes_finished == static_cast<int>(nodes.size())) {
-        done();
+        done.Resolve(sim.Now());
         return;
       }
     }
@@ -272,41 +308,91 @@ struct RingOp : std::enable_shared_from_this<RingOp> {
   }
 };
 
+/// Ring allreduce over `nodes` (all ready at `start`): 2(n-1) bulk-synchronous
+/// rounds of S/n blocks. Shared by MPI and Gloo.
+Ref<SimTime> RunRingAllreduce(sim::Engine& sim, net::Fabric& net, std::vector<NodeID> nodes,
+                              std::int64_t bytes, SimTime start) {
+  const int n = static_cast<int>(nodes.size());
+  HOPLITE_CHECK_GE(n, 2);
+  auto op = std::make_shared<RingOp>(sim, net);
+  op->nodes = std::move(nodes);
+  op->block_bytes = (bytes + n - 1) / n;
+  op->total_rounds = 2 * (n - 1);
+  op->Start(start);
+  return op->done.ref();
+}
+
 // --------------------------------------------------------------------
 // Pairwise-exchange rounds (recursive doubling / halving-doubling).
-// Round r: node i exchanges sizes[r] bytes with i ^ (1 << hops[r]).
+// Round r: core node i exchanges sizes[r] bytes with i ^ (1 << hops[r]).
 // Non-power-of-two participant counts pay a fold-in and fold-out step.
 // --------------------------------------------------------------------
 
 struct PairwiseOp : std::enable_shared_from_this<PairwiseOp> {
   sim::Engine& sim;
   net::Fabric& net;
-  std::vector<NodeID> nodes;  ///< only the power-of-two core
+  std::vector<NodeID> nodes;  ///< every rank; the first `core` run the rounds
+  int core = 1;               ///< largest power of two <= nodes.size()
   std::vector<std::int64_t> round_bytes;
   std::vector<int> round_hops;
-  std::vector<int> round_of;  ///< per node, next round to run
-  std::vector<int> waiting;   ///< per node, recv pending in current round
+  std::int64_t fold_bytes = 0;
+  SimTime gate = 0;           ///< no rank starts before every rank is ready
+  std::vector<int> round_of;  ///< per core node, next round to run
+  std::vector<int> waiting;   ///< per core node, recv pending in current round
   int finished_nodes = 0;
-  DoneCallback done;
+  int folds_pending = 0;
+  RefPromise<SimTime> done;
 
-  PairwiseOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n) {}
+  PairwiseOp(sim::Engine& s, net::Fabric& n) : sim(s), net(n), done(&s, ObjectID{}) {}
 
-  void Start(SimTime gate) {
-    const int n = static_cast<int>(nodes.size());
-    round_of.assign(static_cast<std::size_t>(n), 0);
-    waiting.assign(static_cast<std::size_t>(n), 0);
+  [[nodiscard]] int extras() const { return static_cast<int>(nodes.size()) - core; }
+
+  void Start() {
+    if (extras() == 0) {
+      StartCore();
+      return;
+    }
+    auto self = shared_from_this();
+    sim.ScheduleAt(std::max(sim.Now(), gate), [self] { self->Fold(/*in=*/true); });
+  }
+
+  void StartCore() {
+    round_of.assign(static_cast<std::size_t>(core), 0);
+    waiting.assign(static_cast<std::size_t>(core), 0);
     auto self = shared_from_this();
     sim.ScheduleAt(std::max(sim.Now(), gate), [self] {
-      for (int i = 0; i < static_cast<int>(self->nodes.size()); ++i) {
-        self->RunRound(i);
-      }
+      for (int i = 0; i < self->core; ++i) self->RunRound(i);
     });
+  }
+
+  /// Fold-in: extra rank core+i ships its data to core rank i, then the core
+  /// phase starts. Fold-out: results ship back, then the op is done.
+  void Fold(bool in) {
+    folds_pending = extras();
+    auto self = shared_from_this();
+    for (int i = 0; i < extras(); ++i) {
+      const NodeID extra = nodes[static_cast<std::size_t>(core + i)];
+      const NodeID partner = nodes[static_cast<std::size_t>(i)];
+      net.Send(in ? extra : partner, in ? partner : extra, fold_bytes, [self, in] {
+        if (--self->folds_pending > 0) return;
+        if (in) {
+          self->StartCore();
+        } else {
+          self->done.Resolve(self->sim.Now());
+        }
+      });
+    }
   }
 
   void RunRound(int i) {
     const int round = round_of[static_cast<std::size_t>(i)];
     if (round >= static_cast<int>(round_bytes.size())) {
-      if (++finished_nodes == static_cast<int>(nodes.size())) done();
+      if (++finished_nodes < core) return;
+      if (extras() > 0) {
+        Fold(/*in=*/false);
+      } else {
+        done.Resolve(sim.Now());
+      }
       return;
     }
     const int partner = i ^ (1 << round_hops[static_cast<std::size_t>(round)]);
@@ -324,50 +410,18 @@ struct PairwiseOp : std::enable_shared_from_this<PairwiseOp> {
   }
 };
 
-void RunPairwise(sim::Engine& sim, net::Fabric& net, std::vector<NodeID> all,
-                 std::vector<std::int64_t> round_bytes, std::vector<int> round_hops,
-                 std::int64_t fold_bytes, SimTime gate, DoneCallback done) {
-  const int n = static_cast<int>(all.size());
-  int m = 1;
-  while (m * 2 <= n) m *= 2;
-  const int extras = n - m;
-  std::vector<NodeID> core(all.begin(), all.begin() + m);
-
+Ref<SimTime> RunPairwise(sim::Engine& sim, net::Fabric& net, std::vector<NodeID> nodes,
+                         std::vector<std::int64_t> round_bytes, std::vector<int> round_hops,
+                         std::int64_t fold_bytes, SimTime gate) {
   auto op = std::make_shared<PairwiseOp>(sim, net);
-  op->nodes = core;
+  while (op->core * 2 <= static_cast<int>(nodes.size())) op->core *= 2;
+  op->nodes = std::move(nodes);
   op->round_bytes = std::move(round_bytes);
   op->round_hops = std::move(round_hops);
-
-  if (extras == 0) {
-    op->done = std::move(done);
-    op->Start(gate);
-    return;
-  }
-  // Fold-in: extra rank m+i ships its data to core rank i before the core
-  // phase; fold-out: results ship back afterwards.
-  auto folded_in = std::make_shared<int>(0);
-  auto finish = std::make_shared<DoneCallback>(std::move(done));
-  op->done = [&sim, &net, all, m, extras, fold_bytes, finish] {
-    auto folded_out = std::make_shared<int>(0);
-    for (int i = 0; i < extras; ++i) {
-      net.Send(all[static_cast<std::size_t>(i)], all[static_cast<std::size_t>(m + i)],
-               fold_bytes, [folded_out, extras, finish] {
-                 if (++*folded_out == extras) (*finish)();
-               });
-    }
-  };
-  // hoplite-sa: allow(capture-escape) -- net is the run's fabric, alive for
-  // the engine's whole drain; this free-function fold helper cannot carry an
-  // owner annotation but inherits the same lifetime contract.
-  sim.ScheduleAt(std::max(sim.Now(), gate), [&net, all = std::move(all), m, extras,
-                                             fold_bytes, folded_in, op, gate] {
-    for (int i = 0; i < extras; ++i) {
-      net.Send(all[static_cast<std::size_t>(m + i)], all[static_cast<std::size_t>(i)],
-               fold_bytes, [folded_in, extras, op, gate] {
-                 if (++*folded_in == extras) op->Start(gate);
-               });
-    }
-  });
+  op->fold_bytes = fold_bytes;
+  op->gate = gate;
+  op->Start();
+  return op->done.ref();
 }
 
 }  // namespace
@@ -390,121 +444,66 @@ std::vector<int> BinomialChildren(int i, int n) {
   return children;
 }
 
-void RunRingAllreduce(sim::Engine& simulator, net::Fabric& network,
-                      std::vector<NodeID> nodes, std::int64_t bytes,
-                      std::int64_t segment_bytes, SimTime start, DoneCallback done) {
-  (void)segment_bytes;  // blocks are already S/n; finer chunking only shaves
-                        // per-step latency, which the window model absorbs
-  const int n = static_cast<int>(nodes.size());
-  HOPLITE_CHECK_GE(n, 2);
-  auto op = std::make_shared<RingOp>(simulator, network);
-  op->nodes = std::move(nodes);
-  op->block_bytes = (bytes + n - 1) / n;
-  op->total_rounds = 2 * (n - 1);
-  op->done = std::move(done);
-  op->Start(start);
-}
-
 // ======================================================================
 // MpiLikeCollectives
 // ======================================================================
 
-MpiLikeCollectives::MpiLikeCollectives(sim::Engine& simulator,
-                                       net::Fabric& network, MpiConfig config)
-    : sim_(simulator), net_(network), config_(config) {}
+MpiLikeCollectives::MpiLikeCollectives(sim::Engine& simulator, net::Fabric& network)
+    : sim_(simulator), net_(network) {}
 
 Ref<SimTime> MpiLikeCollectives::Send(NodeID src, NodeID dst, std::int64_t bytes) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    net_.Send(src, dst, bytes, std::move(done));
-  });
+  RefPromise<SimTime> done(&sim_, ObjectID{});
+  net_.Send(src, dst, bytes, [this, done] { done.Resolve(sim_.Now()); });
+  return done.ref();
 }
 
 Ref<SimTime> MpiLikeCollectives::Broadcast(std::vector<Participant> participants,
                                            std::int64_t bytes) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    BroadcastInternal(std::move(participants), bytes, std::move(done));
-  });
+  HOPLITE_CHECK(!participants.empty());
+  auto op = std::make_shared<TreeBroadcastOp>(sim_, net_);
+  op->layout = ChunkLayout{bytes, kSegmentBytes};
+  op->total_chunks = op->layout.num_chunks();
+  op->chain = bytes >= kChainThreshold;
+  op->parts = std::move(participants);
+  op->Start();
+  return op->done.ref();
 }
 
 Ref<SimTime> MpiLikeCollectives::Reduce(const std::vector<Participant>& participants,
                                         std::int64_t bytes) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    ReduceInternal(participants, bytes, std::move(done));
-  });
-}
-
-Ref<SimTime> MpiLikeCollectives::Gather(const std::vector<Participant>& participants,
-                                        std::int64_t bytes) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    GatherInternal(participants, bytes, std::move(done));
-  });
-}
-
-Ref<SimTime> MpiLikeCollectives::Allreduce(const std::vector<Participant>& participants,
-                                           std::int64_t bytes) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    AllreduceInternal(participants, bytes, std::move(done));
-  });
-}
-
-void MpiLikeCollectives::BroadcastInternal(std::vector<Participant> participants,
-                                           std::int64_t bytes, DoneCallback done) {
-  HOPLITE_CHECK(!participants.empty());
-  auto op = std::make_shared<TreeBroadcastOp>(sim_, net_);
-  op->layout = ChunkLayout{bytes, config_.segment_bytes};
-  op->total_chunks = op->layout.num_chunks();
-  op->window = config_.window;
-  op->chain = bytes >= config_.chain_threshold;
-  op->parts = std::move(participants);
-  op->done = std::move(done);
-  op->Start();
-}
-
-void MpiLikeCollectives::ReduceInternal(const std::vector<Participant>& participants,
-                                        std::int64_t bytes, DoneCallback done) {
   HOPLITE_CHECK(!participants.empty());
   auto op = std::make_shared<TreeReduceOp>(sim_, net_);
-  op->layout = ChunkLayout{bytes, config_.segment_bytes};
+  op->layout = ChunkLayout{bytes, kSegmentBytes};
   op->total_chunks = op->layout.num_chunks();
-  op->window = config_.window;
   // OpenMPI's default large-message reduce stays a (segmented) binary tree;
   // internal nodes receive from two children, so the root's ingress carries
   // ~2x the object — the post-gate cost Figure 8b exposes.
   op->degree = 2;
-  const SimTime gate = MaxReady(participants);
-  for (const Participant& p : participants) op->nodes.push_back(p.node);
-  op->done = std::move(done);
-  op->Start(gate);
+  op->nodes = NodesOf(participants);
+  op->Start(MaxReady(participants));
+  return op->done.ref();
 }
 
-void MpiLikeCollectives::GatherInternal(const std::vector<Participant>& participants,
-                                        std::int64_t bytes, DoneCallback done) {
+Ref<SimTime> MpiLikeCollectives::Gather(const std::vector<Participant>& participants,
+                                        std::int64_t bytes) {
   HOPLITE_CHECK_GE(participants.size(), 2u);
   const NodeID root = participants[0].node;
-  auto remaining = std::make_shared<int>(static_cast<int>(participants.size()) - 1);
-  auto shared_done = std::make_shared<DoneCallback>(std::move(done));
+  std::vector<Ref<SimTime>> sends;
   for (std::size_t i = 1; i < participants.size(); ++i) {
     const Participant& p = participants[i];
-    sim_.ScheduleAt(std::max(sim_.Now(), p.ready_at), [this, p, root, bytes, remaining,
-                                                       shared_done] {
-      net_.Send(p.node, root, bytes, [remaining, shared_done] {
-        if (--*remaining == 0) (*shared_done)();
-      });
-    });
+    sends.push_back(
+        SendAt(sim_, net_, std::max(sim_.Now(), p.ready_at), p.node, root, bytes));
   }
+  return Last(sends);
 }
 
-void MpiLikeCollectives::AllreduceInternal(const std::vector<Participant>& participants,
-                                           std::int64_t bytes, DoneCallback done) {
+Ref<SimTime> MpiLikeCollectives::Allreduce(const std::vector<Participant>& participants,
+                                           std::int64_t bytes) {
   HOPLITE_CHECK_GE(participants.size(), 2u);
   const SimTime gate = MaxReady(participants);
-  std::vector<NodeID> nodes;
-  nodes.reserve(participants.size());
-  for (const Participant& p : participants) nodes.push_back(p.node);
-  if (bytes >= config_.allreduce_ring_threshold) {
-    RunRingAllreduce(sim_, net_, std::move(nodes), bytes, config_.segment_bytes, gate,
-                     std::move(done));
-    return;
+  std::vector<NodeID> nodes = NodesOf(participants);
+  if (bytes >= kAllreduceRingThreshold) {
+    return RunRingAllreduce(sim_, net_, std::move(nodes), bytes, gate);
   }
   // Recursive doubling: log2(m) rounds of full-size exchange.
   int m = 1;
@@ -515,74 +514,42 @@ void MpiLikeCollectives::AllreduceInternal(const std::vector<Participant>& parti
     round_bytes.push_back(bytes);
     round_hops.push_back(k);
   }
-  RunPairwise(sim_, net_, std::move(nodes), std::move(round_bytes), std::move(round_hops),
-              bytes, gate, std::move(done));
+  return RunPairwise(sim_, net_, std::move(nodes), std::move(round_bytes),
+                     std::move(round_hops), bytes, gate);
 }
 
 // ======================================================================
 // GlooLikeCollectives
 // ======================================================================
 
-GlooLikeCollectives::GlooLikeCollectives(sim::Engine& simulator,
-                                         net::Fabric& network, GlooConfig config)
-    : sim_(simulator), net_(network), config_(config) {}
+GlooLikeCollectives::GlooLikeCollectives(sim::Engine& simulator, net::Fabric& network)
+    : sim_(simulator), net_(network) {}
 
 Ref<SimTime> GlooLikeCollectives::Broadcast(const std::vector<Participant>& participants,
                                             std::int64_t bytes) {
   HOPLITE_CHECK_GE(participants.size(), 2u);
-  return TimedRef(sim_, [&](DoneCallback done) {
-    BroadcastImpl(participants, bytes, std::move(done));
-  });
+  // Unoptimized: the root unicasts the full object to every receiver; its
+  // egress queue serializes the copies.
+  const SimTime gate = std::max(sim_.Now(), participants[0].ready_at);
+  const NodeID root = participants[0].node;
+  std::vector<Ref<SimTime>> sends;
+  for (std::size_t i = 1; i < participants.size(); ++i) {
+    const Participant& p = participants[i];
+    sends.push_back(SendAt(sim_, net_, std::max(gate, p.ready_at), root, p.node, bytes));
+  }
+  return Last(sends);
 }
 
 Ref<SimTime> GlooLikeCollectives::RingChunkedAllreduce(
     const std::vector<Participant>& participants, std::int64_t bytes) {
   HOPLITE_CHECK_GE(participants.size(), 2u);
-  return TimedRef(sim_, [&](DoneCallback done) {
-    const SimTime gate = MaxReady(participants);
-    std::vector<NodeID> nodes;
-    nodes.reserve(participants.size());
-    for (const Participant& p : participants) nodes.push_back(p.node);
-    RunRingAllreduce(sim_, net_, std::move(nodes), bytes, config_.segment_bytes, gate,
-                     std::move(done));
-  });
+  return RunRingAllreduce(sim_, net_, NodesOf(participants), bytes, MaxReady(participants));
 }
 
 Ref<SimTime> GlooLikeCollectives::HalvingDoublingAllreduce(
     const std::vector<Participant>& participants, std::int64_t bytes) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    HalvingDoublingInternal(participants, bytes, std::move(done));
-  });
-}
-
-void GlooLikeCollectives::BroadcastImpl(const std::vector<Participant>& participants,
-                                        std::int64_t bytes, DoneCallback done) {
-  // Unoptimized: the root unicasts the full object to every receiver; its
-  // egress queue serializes the copies.
-  const SimTime gate = std::max(sim_.Now(), participants[0].ready_at);
-  auto remaining = std::make_shared<int>(static_cast<int>(participants.size()) - 1);
-  auto shared_done = std::make_shared<DoneCallback>(std::move(done));
-  auto* net = &net_;
-  auto* sim = &sim_;
-  const NodeID root = participants[0].node;
-  for (std::size_t i = 1; i < participants.size(); ++i) {
-    const Participant& p = participants[i];
-    sim->ScheduleAt(std::max(gate, p.ready_at), [net, root, p, bytes, remaining,
-                                                 shared_done] {
-      net->Send(root, p.node, bytes, [remaining, shared_done] {
-        if (--*remaining == 0) (*shared_done)();
-      });
-    });
-  }
-}
-
-void GlooLikeCollectives::HalvingDoublingInternal(
-    const std::vector<Participant>& participants, std::int64_t bytes, DoneCallback done) {
   HOPLITE_CHECK_GE(participants.size(), 2u);
-  const SimTime gate = MaxReady(participants);
-  std::vector<NodeID> nodes;
-  nodes.reserve(participants.size());
-  for (const Participant& p : participants) nodes.push_back(p.node);
+  std::vector<NodeID> nodes = NodesOf(participants);
   int m = 1;
   while (m * 2 <= static_cast<int>(nodes.size())) m *= 2;
   std::vector<std::int64_t> round_bytes;
@@ -599,8 +566,8 @@ void GlooLikeCollectives::HalvingDoublingInternal(
     round_bytes.push_back(round_bytes[static_cast<std::size_t>(k)]);
     round_hops.push_back(round_hops[static_cast<std::size_t>(k)]);
   }
-  RunPairwise(sim_, net_, std::move(nodes), std::move(round_bytes), std::move(round_hops),
-              bytes, gate, std::move(done));
+  return RunPairwise(sim_, net_, std::move(nodes), std::move(round_bytes),
+                     std::move(round_hops), bytes, MaxReady(participants));
 }
 
 }  // namespace hoplite::baselines

@@ -16,11 +16,12 @@
 // MPI/Gloo know every participant and location up front, pay no directory
 // lookups, and move data directly between ranks — which is why they win on
 // small static transfers (Figure 6a) and lose on dynamic arrivals (Figure 8).
+// Their segment sizes and algorithm thresholds are fixed constants in
+// collectives.cc. Each collective's op state settles one RefPromise with the
+// simulated instant its last participant finished.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -39,32 +40,11 @@ struct Participant {
   SimTime ready_at = 0;
 };
 
-using DoneCallback = std::function<void()>;
-
-/// Tunables for the MPI-like implementation.
-struct MpiConfig {
-  /// Segment size for pipelined tree algorithms (OpenMPI segments large
-  /// messages; 4 MB keeps it comparable to Hoplite's pipeline block).
-  std::int64_t segment_bytes = 4 * 1024 * 1024;
-  /// In-flight segments per edge (hides per-segment latency).
-  int window = 2;
-  /// Message-size threshold below which allreduce uses recursive doubling
-  /// instead of the ring (OpenMPI switches algorithms by size, see the
-  /// footnote to Figure 7).
-  std::int64_t allreduce_ring_threshold = 64 * 1024;
-  /// Above this size, broadcast and reduce switch from the binomial/binary
-  /// tree to the pipelined chain algorithm, mirroring OpenMPI's tuned
-  /// decision tables: a k-child tree root pushes k full copies through its
-  /// NIC, so large messages favor depth over fan-out.
-  std::int64_t chain_threshold = 4 * 1024 * 1024;
-};
-
 // hoplite-sa: owner(MpiLikeCollectives) -- harness-owned beside the
 // fabric; alive until the engine drains.
 class MpiLikeCollectives {
  public:
-  MpiLikeCollectives(sim::Engine& simulator, net::Fabric& network,
-                     MpiConfig config);
+  MpiLikeCollectives(sim::Engine& simulator, net::Fabric& network);
 
   // Every collective returns a Ref immediately, ready (with the simulated
   // completion time) when the last participant finishes.
@@ -74,7 +54,8 @@ class MpiLikeCollectives {
 
   /// Segmented binomial-tree broadcast rooted at participants[0]. An edge
   /// activates once both of its endpoints are ready, so progress before the
-  /// last arrival exists only along rank order (§7).
+  /// last arrival exists only along rank order (§7). Large messages use the
+  /// pipelined chain instead.
   Ref<SimTime> Broadcast(std::vector<Participant> participants, std::int64_t bytes);
 
   /// Segmented binary-tree reduce towards participants[0]. Starts only when
@@ -89,32 +70,15 @@ class MpiLikeCollectives {
   Ref<SimTime> Allreduce(const std::vector<Participant>& participants, std::int64_t bytes);
 
  private:
-  void BroadcastInternal(std::vector<Participant> participants, std::int64_t bytes,
-                         DoneCallback done);
-  void ReduceInternal(const std::vector<Participant>& participants, std::int64_t bytes,
-                      DoneCallback done);
-  void GatherInternal(const std::vector<Participant>& participants, std::int64_t bytes,
-                      DoneCallback done);
-  void AllreduceInternal(const std::vector<Participant>& participants, std::int64_t bytes,
-                         DoneCallback done);
-
   sim::Engine& sim_;
   net::Fabric& net_;
-  MpiConfig config_;
-};
-
-/// Tunables for the Gloo-like implementation.
-struct GlooConfig {
-  /// Ring-chunked segment size (Gloo default chunking is finer than MPI's).
-  std::int64_t segment_bytes = 1024 * 1024;
 };
 
 // hoplite-sa: owner(GlooLikeCollectives) -- harness-owned beside the
 // fabric; alive until the engine drains.
 class GlooLikeCollectives {
  public:
-  GlooLikeCollectives(sim::Engine& simulator, net::Fabric& network,
-                      GlooConfig config);
+  GlooLikeCollectives(sim::Engine& simulator, net::Fabric& network);
 
   // Every collective returns a Ref immediately, ready (with the simulated
   // completion time) when the last participant finishes.
@@ -135,14 +99,8 @@ class GlooLikeCollectives {
                                         std::int64_t bytes);
 
  private:
-  void BroadcastImpl(const std::vector<Participant>& participants, std::int64_t bytes,
-                     DoneCallback done);
-  void HalvingDoublingInternal(const std::vector<Participant>& participants,
-                               std::int64_t bytes, DoneCallback done);
-
   sim::Engine& sim_;
   net::Fabric& net_;
-  GlooConfig config_;
 };
 
 // ----------------------------------------------------------------------
@@ -153,12 +111,5 @@ class GlooLikeCollectives {
 [[nodiscard]] int BinomialParent(int i);
 /// Binomial-tree children of position i among n positions.
 [[nodiscard]] std::vector<int> BinomialChildren(int i, int n);
-
-/// Ring allreduce over `nodes` (all ready at `start`), `blocks` pipelined
-/// block steps of `block_bytes` each, 2(n-1) rounds. Invokes `done` when the
-/// slowest rank finishes. Shared by MPI and Gloo.
-void RunRingAllreduce(sim::Engine& simulator, net::Fabric& network,
-                      std::vector<NodeID> nodes, std::int64_t bytes,
-                      std::int64_t segment_bytes, SimTime start, DoneCallback done);
 
 }  // namespace hoplite::baselines

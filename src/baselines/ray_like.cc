@@ -1,6 +1,5 @@
 #include "baselines/ray_like.h"
 
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,147 +11,107 @@ RayLikeTransport::RayLikeTransport(sim::Engine& simulator, net::Fabric& network,
     : sim_(simulator), net_(network), config_(config) {}
 
 Ref<ObjectID> RayLikeTransport::Put(NodeID node, ObjectID object, std::int64_t size) {
+  HOPLITE_CHECK_GE(size, 0);
   RefPromise<ObjectID> promise(&sim_, object);
-  PutInternal(node, object, size, [promise, object] { promise.Resolve(object); });
+  // Blocking worker->store copy; the location is published only afterwards
+  // (no pipelining, §3.3).
+  net_.Memcpy(node, size, [this, node, object, size, promise] {
+    sim_.ScheduleAfter(config_.per_op_overhead, [this, node, object, size, promise] {
+      Meta& meta = objects_[object];
+      meta.size = size;
+      meta.locations.push_back(node);
+      promise.Resolve(object);
+      // Serve parked fetches. The settled ref's continuations may have
+      // Delete'd the object inline (a workload GC'ing an op the instant it
+      // settles), so the entry must be re-looked-up — `meta` may dangle here.
+      auto it = objects_.find(object);
+      if (it == objects_.end()) return;
+      auto waiters = std::move(it->second.waiters);
+      it->second.waiters.clear();
+      for (const auto& [waiter_node, waiter] : waiters) {
+        StartFetch(waiter_node, object, waiter);
+      }
+    });
+  });
   return promise.ref();
 }
 
 Ref<ObjectID> RayLikeTransport::Get(NodeID node, ObjectID object) {
   RefPromise<ObjectID> promise(&sim_, object);
-  GetInternal(node, object, [promise, object] { promise.Resolve(object); });
+  // Location lookup (+ scheduler hop for Dask), then fetch.
+  sim_.ScheduleAfter(config_.per_op_overhead + config_.scheduler_hop,
+                     [this, node, object, promise] {
+                       auto it = objects_.find(object);
+                       if (it == objects_.end() || it->second.locations.empty()) {
+                         objects_[object].waiters.emplace_back(node, promise);
+                         return;
+                       }
+                       StartFetch(node, object, promise);
+                     });
   return promise.ref();
 }
 
-Ref<SimTime> RayLikeTransport::Broadcast(ObjectID object,
-                                         const std::vector<NodeID>& receivers) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    BroadcastInternal(object, receivers, std::move(done));
-  });
-}
-
-Ref<SimTime> RayLikeTransport::Reduce(NodeID root, const std::vector<ObjectID>& sources,
-                                      ObjectID target, std::int64_t size) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    ReduceInternal(root, sources, target, size, std::move(done));
-  });
-}
-
-Ref<SimTime> RayLikeTransport::Gather(NodeID root, const std::vector<ObjectID>& sources) {
-  HOPLITE_CHECK(!sources.empty());
-  return TimedRef(sim_, [&](DoneCallback done) {
-    auto remaining = std::make_shared<int>(static_cast<int>(sources.size()));
-    auto shared_done = std::make_shared<DoneCallback>(std::move(done));
-    for (const ObjectID source : sources) {
-      GetInternal(root, source, [remaining, shared_done] {
-        if (--*remaining == 0 && *shared_done) (*shared_done)();
-      });
-    }
-  });
-}
-
-Ref<SimTime> RayLikeTransport::Allreduce(NodeID root, const std::vector<ObjectID>& sources,
-                                         ObjectID target, std::int64_t size,
-                                         const std::vector<NodeID>& receivers) {
-  return TimedRef(sim_, [&](DoneCallback done) {
-    ReduceInternal(root, sources, target, size,
-                   [this, target, receivers, done = std::move(done)]() mutable {
-                     BroadcastInternal(target, receivers, std::move(done));
-                   });
-  });
-}
-
-void RayLikeTransport::PutInternal(NodeID node, ObjectID object, std::int64_t size,
-                                   DoneCallback done) {
-  HOPLITE_CHECK_GE(size, 0);
-  // Blocking worker->store copy; the location is published only afterwards
-  // (no pipelining, §3.3).
-  net_.Memcpy(node, config_.blocking_copies ? size : 0, [this, node, object, size,
-                                                         done = std::move(done)] {
-    sim_.ScheduleAfter(config_.per_op_overhead, [this, node, object, size,
-                                                 done = std::move(done)] {
-      Meta& meta = objects_[object];
-      meta.size = size;
-      meta.locations.push_back(node);
-      if (done) done();
-      // Serve parked fetches. The completion callback may have Delete'd the
-      // object inline (a workload GC'ing an op the instant it settles), so
-      // the entry must be re-looked-up — `meta` may dangle here.
-      auto it = objects_.find(object);
-      if (it == objects_.end()) return;
-      auto waiters = std::move(it->second.waiters);
-      it->second.waiters.clear();
-      for (auto& [waiter_node, waiter_done] : waiters) {
-        StartFetch(waiter_node, object, std::move(waiter_done));
-      }
-    });
-  });
-}
-
-void RayLikeTransport::GetInternal(NodeID node, ObjectID object, DoneCallback done) {
-  // Location lookup (+ scheduler hop for Dask), then fetch.
-  sim_.ScheduleAfter(config_.per_op_overhead + config_.scheduler_hop,
-                     [this, node, object, done = std::move(done)]() mutable {
-                       auto it = objects_.find(object);
-                       if (it == objects_.end() || it->second.locations.empty()) {
-                         objects_[object].waiters.emplace_back(node, std::move(done));
-                         return;
-                       }
-                       StartFetch(node, object, std::move(done));
-                     });
-}
-
-void RayLikeTransport::StartFetch(NodeID node, ObjectID object, DoneCallback done) {
+void RayLikeTransport::StartFetch(NodeID node, ObjectID object,
+                                  const RefPromise<ObjectID>& promise) {
   const Meta& meta = objects_.at(object);
   const NodeID src = meta.locations.front();  // always the owner: no re-serving
   const std::int64_t size = meta.size;
   if (src == node) {
     // Local hit: store->worker copy only.
-    net_.Memcpy(node, config_.blocking_copies ? size : 0,
-                [done = std::move(done)] { if (done) done(); });
+    net_.Memcpy(node, size, [promise, object] { promise.Resolve(object); });
     return;
   }
-  net_.Send(src, node, WireBytes(size), [this, node, size, done = std::move(done)] {
+  net_.Send(src, node, WireBytes(size), [this, node, object, size, promise] {
     // Blocking store->worker copy after the whole object arrived.
-    net_.Memcpy(node, config_.blocking_copies ? size : 0,
-                [done = std::move(done)] { if (done) done(); });
+    net_.Memcpy(node, size, [promise, object] { promise.Resolve(object); });
   });
 }
 
 void RayLikeTransport::Delete(ObjectID object) { objects_.erase(object); }
 
-void RayLikeTransport::BroadcastInternal(ObjectID object,
-                                         const std::vector<NodeID>& receivers,
-                                         DoneCallback done) {
-  if (receivers.empty()) {
-    if (done) done();
-    return;
-  }
-  auto remaining = std::make_shared<int>(static_cast<int>(receivers.size()));
-  auto shared_done = std::make_shared<DoneCallback>(std::move(done));
-  for (const NodeID receiver : receivers) {
-    GetInternal(receiver, object, [remaining, shared_done] {
-      if (--*remaining == 0 && *shared_done) (*shared_done)();
-    });
-  }
+Ref<SimTime> RayLikeTransport::Broadcast(ObjectID object,
+                                         const std::vector<NodeID>& receivers) {
+  std::vector<Ref<ObjectID>> gets;
+  for (const NodeID receiver : receivers) gets.push_back(Get(receiver, object));
+  return Stamped(WhenAll(gets));
 }
 
-void RayLikeTransport::ReduceInternal(NodeID root, const std::vector<ObjectID>& sources,
-                                      ObjectID target, std::int64_t size,
-                                      DoneCallback done) {
+Ref<SimTime> RayLikeTransport::Gather(NodeID root, const std::vector<ObjectID>& sources) {
   HOPLITE_CHECK(!sources.empty());
-  auto remaining = std::make_shared<int>(static_cast<int>(sources.size()));
-  auto shared_done = std::make_shared<DoneCallback>(std::move(done));
+  std::vector<Ref<ObjectID>> gets;
+  for (const ObjectID source : sources) gets.push_back(Get(root, source));
+  return Stamped(WhenAll(gets));
+}
+
+Ref<SimTime> RayLikeTransport::Reduce(NodeID root, const std::vector<ObjectID>& sources,
+                                      ObjectID target, std::int64_t size) {
+  HOPLITE_CHECK(!sources.empty());
+  std::vector<Ref<Unit>> folded;
   for (const ObjectID source : sources) {
-    GetInternal(root, source, [this, root, target, size, remaining, shared_done] {
-      // Accumulate into the running sum at memcpy speed.
-      net_.Memcpy(root, size, [this, root, target, size, remaining, shared_done] {
-        if (--*remaining > 0) return;
-        PutInternal(root, target, size, [shared_done] {
-          if (*shared_done) (*shared_done)();
-        });
-      });
-    });
+    // Accumulate each arrival into the running sum at memcpy speed.
+    folded.push_back(Get(root, source).Then([this, root, size] {
+      RefPromise<Unit> added(&sim_, ObjectID{});
+      net_.Memcpy(root, size, [added] { added.Resolve(Unit{}); });
+      return added.ref();
+    }));
   }
+  return Stamped(
+      WhenAll(folded).Then([this, root, target, size] { return Put(root, target, size); }));
+}
+
+Ref<SimTime> RayLikeTransport::Allreduce(NodeID root, const std::vector<ObjectID>& sources,
+                                         ObjectID target, std::int64_t size,
+                                         const std::vector<NodeID>& receivers) {
+  return Reduce(root, sources, target, size).Then([this, target, receivers] {
+    return Broadcast(target, receivers);
+  });
+}
+
+template <typename T>
+Ref<SimTime> RayLikeTransport::Stamped(const Ref<T>& op) {
+  RefPromise<SimTime> done(&sim_, ObjectID{});
+  op.Then([this, done] { done.Resolve(sim_.Now()); });
+  return done.ref();
 }
 
 }  // namespace hoplite::baselines

@@ -21,8 +21,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -43,8 +43,6 @@ struct RayLikeConfig {
   /// Extra scheduler round trip per transfer (0 for Ray; Dask routes data
   /// movement through its single-threaded scheduler).
   SimDuration scheduler_hop = 0;
-  /// Blocking (non-pipelined) worker<->store copies on Put and Get.
-  bool blocking_copies = true;
 
   [[nodiscard]] static RayLikeConfig Ray() { return RayLikeConfig{}; }
   [[nodiscard]] static RayLikeConfig Dask() {
@@ -58,9 +56,11 @@ struct RayLikeConfig {
 
 /// An object transport with the Put/Get surface of a task framework's store
 /// but none of Hoplite's optimizations. All collective patterns are built
-/// from point-to-point fetches, exactly like the baselines in the paper.
-/// Every operation returns a Ref immediately (see core/ref.h); collectives
-/// resolve with the simulated completion time of the last participant.
+/// from point-to-point fetches, exactly like the baselines in the paper, and
+/// composed from the Put/Get refs: Broadcast and Gather are a WhenAll over
+/// Gets, Allreduce is Reduce(...).Then(Broadcast). Every operation returns a
+/// Ref immediately (see core/ref.h); collectives resolve with the simulated
+/// completion time of the last participant.
 // hoplite-sa: owner(RayLikeTransport) -- constructed beside the fabric
 // before the first event and destroyed after the engine drains (the
 // PR 5 UAF was a dangling Meta&, not a dangling this; metas now travel
@@ -84,7 +84,7 @@ class RayLikeTransport {
   void Delete(ObjectID object);
 
   /// Broadcast = every receiver Gets from the owner. Ready when the last
-  /// receiver finished.
+  /// receiver finished (at once for no receivers).
   Ref<SimTime> Broadcast(ObjectID object, const std::vector<NodeID>& receivers);
 
   /// Reduce = fetch every source into `root`, add locally (memcpy-speed
@@ -103,20 +103,11 @@ class RayLikeTransport {
   [[nodiscard]] bool Has(ObjectID object) const { return objects_.count(object) > 0; }
 
  private:
-  using DoneCallback = std::function<void()>;
-
-  // Raw callback plumbing under the ref surface.
-  void PutInternal(NodeID node, ObjectID object, std::int64_t size, DoneCallback done);
-  void GetInternal(NodeID node, ObjectID object, DoneCallback done);
-  void BroadcastInternal(ObjectID object, const std::vector<NodeID>& receivers,
-                         DoneCallback done);
-  void ReduceInternal(NodeID root, const std::vector<ObjectID>& sources, ObjectID target,
-                      std::int64_t size, DoneCallback done);
-
   struct Meta {
     std::int64_t size = 0;
     std::vector<NodeID> locations;
-    std::deque<std::pair<NodeID, DoneCallback>> waiters;
+    /// Gets parked until the object is Put: (fetching node, its promise).
+    std::deque<std::pair<NodeID, RefPromise<ObjectID>>> waiters;
   };
 
   /// Wire bytes inflated by the effective-bandwidth factor.
@@ -124,7 +115,11 @@ class RayLikeTransport {
     return static_cast<std::int64_t>(static_cast<double>(size) / config_.effective_bandwidth);
   }
 
-  void StartFetch(NodeID node, ObjectID object, DoneCallback done);
+  void StartFetch(NodeID node, ObjectID object, const RefPromise<ObjectID>& promise);
+  /// Ready with the simulated instant `op` became ready, bound to this
+  /// transport's engine even when `op` is not (an empty WhenAll).
+  template <typename T>
+  Ref<SimTime> Stamped(const Ref<T>& op);
 
   sim::Engine& sim_;
   net::Fabric& net_;

@@ -12,6 +12,12 @@
 
 namespace hoplite::core {
 
+namespace {
+/// Tokens debited from a tenant's bucket per ECN-like backpressure mark from
+/// the fabric's AQM: each mark pushes the tenant's future admissions later.
+constexpr double kBackpressurePenaltyOps = 4.0;
+}  // namespace
+
 HopliteClient::HopliteClient(HopliteCluster& cluster, NodeID node, HopliteConfig config)
     : cluster_(cluster), node_(node), config_(config) {}
 
@@ -20,64 +26,28 @@ HopliteClient::~HopliteClient() = default;
 store::LocalStore& HopliteClient::local_store() { return cluster_.store(node_); }
 
 // ======================================================================
-// Ref adapters: the public Table 1 surface. Each wraps the private callback
-// plumbing with a promise that settles inline when the callback fires, so
-// the future layer adds no events and no latency.
+// Public Table 1 surface. Each op builds its promise, registers it so node
+// death (and, for Gets, Delete) can fail it, and hands it to the protocol,
+// which settles it inline where the work finishes.
 // ======================================================================
 
 Ref<ObjectID> HopliteClient::Put(ObjectID object, store::Buffer payload,
                                  qos::TenantId tenant) {
   RefPromise<ObjectID> promise(&cluster_.simulator(), object);
   TrackPromise(promise);
-  RefError throttled;
-  const Admission adm = AdmitOp(
-      tenant, &throttled,
-      [this, object, tenant, payload = std::move(payload), promise]() mutable {
-        // Shed, don't send: an op that settled (timed out) while paced in
-        // the bucket queue never reaches the protocol.
-        if (promise.ref().settled()) return;
-        PutInternal(object, std::move(payload),
-                    [promise, object] { promise.Resolve(object); }, tenant);
-      });
-  if (adm == Admission::kRejected) {
-    promise.Reject(throttled);
-    return promise.ref();
-  }
-  Ref<ObjectID> ref = promise.ref();
-  if (adm == Admission::kAdmitted) {
-    const std::uint64_t inc = incarnation_;
-    ref.OnSettled([this, inc, tenant](const Ref<ObjectID>& r) {
-      if (inc == incarnation_) OnOpSettled(tenant, !r.failed());
-    });
-  }
-  return ref;
+  Admit(tenant, promise,
+        [this, object, tenant, payload = std::move(payload), promise]() mutable {
+          IssuePut(object, std::move(payload), promise, tenant);
+        });
+  return promise.ref();
 }
 
 Ref<store::Buffer> HopliteClient::Get(ObjectID object, GetOptions options) {
   RefPromise<store::Buffer> promise(&cluster_.simulator(), object);
   TrackGetPromise(object, promise);
-  RefError throttled;
-  const Admission adm =
-      AdmitOp(options.tenant, &throttled, [this, object, options, promise] {
-        // Shed, don't send: a Get whose timeout fired while it waited for a
-        // token is dead to the caller — issuing the fetch anyway would burn
-        // fabric capacity on an answer nobody reads.
-        if (promise.ref().settled()) return;
-        GetInternal(object, options,
-                    [promise](const store::Buffer& payload) { promise.Resolve(payload); });
-      });
-  if (adm == Admission::kRejected) {
-    promise.Reject(throttled);
-    return promise.ref();
-  }
+  Admit(options.tenant, promise,
+        [this, object, options, promise] { IssueGet(object, options, promise); });
   Ref<store::Buffer> ref = promise.ref();
-  if (adm == Admission::kAdmitted) {
-    const std::uint64_t inc = incarnation_;
-    const qos::TenantId tenant = options.tenant;
-    ref.OnSettled([this, inc, tenant](const Ref<store::Buffer>& r) {
-      if (inc == incarnation_) OnOpSettled(tenant, !r.failed());
-    });
-  }
   if (options.timeout > 0 && !ref.settled()) {
     // Reject the tracked promise itself (not a mirror) so the entry settles
     // and gets pruned; the underlying fetch keeps running — late data can
@@ -97,34 +67,44 @@ Ref<store::Buffer> HopliteClient::Get(ObjectID object, GetOptions options) {
 Ref<ObjectID> HopliteClient::Delete(ObjectID object) {
   RefPromise<ObjectID> promise(&cluster_.simulator(), object);
   TrackPromise(promise);
-  DeleteInternal(object, [promise, object] { promise.Resolve(object); });
+  const std::uint64_t inc = incarnation_;
+  cluster_.directory().DeleteObject(
+      object, [this, inc, object, promise](std::vector<NodeID> holders) {
+        if (inc != incarnation_) return;
+        for (const NodeID holder : holders) {
+          if (!cluster_.IsAlive(holder)) continue;
+          if (holder == node_) {
+            PurgeObject(object);
+            continue;
+          }
+          cluster_.SendControl(node_, holder, [this, holder, object] {
+            cluster_.client(holder).HandleDeleteLocal(object);
+          });
+        }
+        promise.Resolve(object);
+      });
   return promise.ref();
 }
 
 Ref<ReduceResult> HopliteClient::Reduce(ReduceSpec spec) {
+  HOPLITE_CHECK(!spec.sources.empty()) << "Reduce needs at least one source";
+  if (spec.num_objects == 0 || spec.num_objects > spec.sources.size()) {
+    spec.num_objects = spec.sources.size();
+  }
   RefPromise<ReduceResult> promise(&cluster_.simulator(), spec.target);
   TrackPromise(promise);
   const qos::TenantId tenant = spec.tenant;
-  RefError throttled;
-  const Admission adm =
-      AdmitOp(tenant, &throttled, [this, spec = std::move(spec), promise]() mutable {
-        if (promise.ref().settled()) return;  // shed ops dead before their token
-        ReduceInternal(std::move(spec), [promise](const ReduceResult& result) {
-          promise.Resolve(result);
-        });
-      });
-  if (adm == Admission::kRejected) {
-    promise.Reject(throttled);
-    return promise.ref();
-  }
-  Ref<ReduceResult> ref = promise.ref();
-  if (adm == Admission::kAdmitted) {
-    const std::uint64_t inc = incarnation_;
-    ref.OnSettled([this, inc, tenant](const Ref<ReduceResult>& r) {
-      if (inc == incarnation_) OnOpSettled(tenant, !r.failed());
-    });
-  }
-  return ref;
+  Admit(tenant, promise, [this, spec = std::move(spec), promise]() mutable {
+    const ReduceId id =
+        (static_cast<ReduceId>(static_cast<std::uint64_t>(node_) + 1) << 40) |
+        next_reduce_id_seed_++;
+    auto coordinator =
+        std::make_unique<ReduceCoordinator>(*this, id, std::move(spec), promise);
+    auto* raw = coordinator.get();
+    coordinators_.emplace(id, std::move(coordinator));
+    raw->Start();
+  });
+  return promise.ref();
 }
 
 void HopliteClient::TrackGetPromise(ObjectID object,
@@ -178,33 +158,39 @@ HopliteClient::TenantAdmission* HopliteClient::AdmissionOf(qos::TenantId tenant)
   return &it->second;
 }
 
-HopliteClient::Admission HopliteClient::AdmitOp(qos::TenantId tenant, RefError* error,
-                                                std::function<void()> issue) {
+template <typename T>
+void HopliteClient::Admit(qos::TenantId tenant, const RefPromise<T>& promise,
+                          std::function<void()> start) {
   TenantAdmission* adm = AdmissionOf(tenant);
   if (adm == nullptr) {
-    issue();
-    return Admission::kBypass;
+    start();
+    return;
   }
   const SimTime now = cluster_.Now();
   if (adm->outstanding >= cluster_.options().network.qos.admission_tuning.max_outstanding_ops) {
     ++throttled_ops_;
-    *error = RefError{RefErrorCode::kThrottled,
-                      "tenant " + std::to_string(tenant) + " over outstanding-op cap",
-                      std::max<SimDuration>(adm->bucket.NextAdmission(now) - now, 1)};
-    return Admission::kRejected;
+    promise.Reject(RefError{RefErrorCode::kThrottled,
+                            "tenant " + std::to_string(tenant) + " over outstanding-op cap",
+                            std::max<SimDuration>(adm->bucket.NextAdmission(now) - now, 1)});
+    return;
   }
   adm->outstanding += 1;
   const SimTime grant = adm->bucket.Acquire(now);
+  const std::uint64_t inc = incarnation_;
   if (grant <= now) {
-    issue();
+    start();
   } else {
     ++paced_ops_;
-    const std::uint64_t inc = incarnation_;
-    cluster_.simulator().ScheduleAt(grant, [this, inc, issue = std::move(issue)] {
-      if (inc == incarnation_) issue();
+    cluster_.simulator().ScheduleAt(grant, [this, inc, promise, start = std::move(start)] {
+      // Shed, don't send: an op that settled (timed out) while it waited
+      // for its token is dead to the caller — issuing it anyway would burn
+      // fabric capacity on an answer nobody reads.
+      if (inc == incarnation_ && !promise.settled()) start();
     });
   }
-  return Admission::kAdmitted;
+  promise.ref().OnSettled([this, inc, tenant](const Ref<T>& ref) {
+    if (inc == incarnation_) OnOpSettled(tenant, !ref.failed());
+  });
 }
 
 void HopliteClient::OnOpSettled(qos::TenantId tenant, bool ok) {
@@ -219,7 +205,7 @@ void HopliteClient::OnOpSettled(qos::TenantId tenant, bool ok) {
 void HopliteClient::OnBackpressure(qos::TenantId tenant) {
   TenantAdmission* adm = AdmissionOf(tenant);
   if (adm == nullptr) return;  // admission off: AQM marks only pause flows
-  adm->bucket.Penalize(cluster_.options().network.qos.admission_tuning.backpressure_penalty_ops);
+  adm->bucket.Penalize(kBackpressurePenaltyOps);
 }
 
 int HopliteClient::outstanding_ops(qos::TenantId tenant) const {
@@ -231,17 +217,14 @@ int HopliteClient::outstanding_ops(qos::TenantId tenant) const {
 // Put
 // ======================================================================
 
-void HopliteClient::PutInternal(ObjectID object, store::Buffer payload, PutCallback done,
-                                qos::TenantId tenant) {
+void HopliteClient::IssuePut(ObjectID object, store::Buffer payload,
+                             const RefPromise<ObjectID>& promise, qos::TenantId tenant) {
   auto& dir = cluster_.directory();
   if (payload.size() < dir.config().inline_threshold) {
     // Small-object fast path: the payload lives in the directory (§3.2). The
     // node->shard upload is wire traffic, charged to the putter's tenant.
     dir.PutInline(
-        object, node_, std::move(payload),
-        [done = std::move(done)] {
-          if (done) done();
-        },
+        object, node_, std::move(payload), [promise, object] { promise.Resolve(object); },
         tenant);
     return;
   }
@@ -250,23 +233,23 @@ void HopliteClient::PutInternal(ObjectID object, store::Buffer payload, PutCallb
   HOPLITE_CHECK(!st.Contains(object))
       << "Put of " << object << " on node " << node_ << ": object already exists "
       << "(objects are immutable; use a fresh ObjectID)";
-  st.CreatePartial(object, payload.size(), store::CopyKind::kPrimary, config_.chunk_size);
+  st.CreatePartial(object, payload.size(), store::CopyKind::kPrimary, kChunkSize);
   // Publish before the worker->store copy completes so remote fetches can
   // begin immediately (§3.3).
   dir.RegisterPartial(object, node_, payload.size());
 
-  const store::ChunkLayout layout{payload.size(), config_.chunk_size};
+  const store::ChunkLayout layout{payload.size(), kChunkSize};
   const std::int64_t total = layout.num_chunks();
   const std::uint64_t inc = incarnation_;
 
   if (!config_.pipeline_worker_copies) {
     // Ablation mode: one monolithic blocking copy, then publish completion.
     cluster_.network().Memcpy(
-        node_, payload.size(), [this, inc, object, payload, done = std::move(done)] {
+        node_, payload.size(), [this, inc, object, payload, promise] {
           if (inc != incarnation_ || !local_store().Contains(object)) return;
           local_store().MarkComplete(object, payload);
           cluster_.directory().MarkComplete(object, node_);
-          if (done) done();
+          promise.Resolve(object);
         });
     return;
   }
@@ -274,12 +257,12 @@ void HopliteClient::PutInternal(ObjectID object, store::Buffer payload, PutCallb
   for (std::int64_t i = 0; i < total; ++i) {
     const bool last = i + 1 == total;
     cluster_.network().Memcpy(
-        node_, layout.ChunkBytes(i), [this, inc, object, payload, done, i, last] {
+        node_, layout.ChunkBytes(i), [this, inc, object, payload, promise, i, last] {
           if (inc != incarnation_ || !local_store().Contains(object)) return;
           if (last) {
             local_store().MarkComplete(object, payload);
             cluster_.directory().MarkComplete(object, node_);
-            if (done) done();
+            promise.Resolve(object);
           } else {
             local_store().AdvanceChunks(object, i + 1);
           }
@@ -291,20 +274,20 @@ void HopliteClient::PutInternal(ObjectID object, store::Buffer payload, PutCallb
 // Get (fetch side of broadcast)
 // ======================================================================
 
-void HopliteClient::GetInternal(ObjectID object, GetOptions options, GetCallback callback) {
-  HOPLITE_CHECK(callback != nullptr);
+void HopliteClient::IssueGet(ObjectID object, GetOptions options,
+                             const RefPromise<store::Buffer>& promise) {
   if (local_store().Contains(object)) {
     local_store().NoteHit();
     // The read is the replacement policy's recency signal: a re-read hit is
     // what distinguishes a hot replica from one-touch scan pollution.
     local_store().Touch(object);
-    DeliverLocal(object, options, std::move(callback));
+    DeliverLocal(object, options, promise);
     return;
   }
   local_store().NoteMiss();
   auto it = fetches_.find(object);
   if (it != fetches_.end()) {
-    it->second.early_waiters.emplace_back(options, std::move(callback));
+    it->second.early_waiters.emplace_back(options, promise);
     return;
   }
   FetchSession session;
@@ -312,7 +295,7 @@ void HopliteClient::GetInternal(ObjectID object, GetOptions options, GetCallback
   // First Get wins: waiters attaching to an in-flight fetch above do not
   // re-tag it — the window-opening tenant pays for the shared transfer.
   session.tenant = options.tenant;
-  session.early_waiters.emplace_back(options, std::move(callback));
+  session.early_waiters.emplace_back(options, promise);
   fetches_.emplace(object, std::move(session));
   StartFetch(object);
 }
@@ -358,8 +341,8 @@ void HopliteClient::OnClaimReply(const directory::ClaimReply& reply) {
     if (local_store().Contains(reply.object)) {
       auto waiters = std::move(session.early_waiters);
       fetches_.erase(it);
-      for (auto& [options, callback] : waiters) {
-        DeliverLocal(reply.object, options, std::move(callback));
+      for (const auto& [options, promise] : waiters) {
+        DeliverLocal(reply.object, options, promise);
       }
     } else {
       // Stale self-location: our replica was LRU-evicted (or purged in a
@@ -388,7 +371,7 @@ void HopliteClient::OnClaimReply(const directory::ClaimReply& reply) {
       // and later local Gets hit without any wire traffic.
       auto& st = local_store();
       st.CreatePartial(reply.object, reply.payload.size(), store::CopyKind::kCached,
-                       config_.chunk_size);
+                       kChunkSize);
       st.MarkComplete(reply.object, reply.payload);
       cluster_.directory().RegisterCachedCopy(
           reply.object, node_, [this, inc, object = reply.object] {
@@ -397,15 +380,14 @@ void HopliteClient::OnClaimReply(const directory::ClaimReply& reply) {
             if (inc == incarnation_) PurgeObject(object);
           });
     }
-    for (auto& [options, callback] : waiters) {
+    for (const auto& [options, promise] : waiters) {
       if (options.read_only) {
-        callback(reply.payload);
+        promise.Resolve(reply.payload);
       } else {
-        cluster_.network().Memcpy(
-            node_, reply.payload.size(),
-            [this, inc, callback = std::move(callback), payload = reply.payload] {
-              if (inc == incarnation_) callback(payload);
-            });
+        cluster_.network().Memcpy(node_, reply.payload.size(),
+                                  [this, inc, promise, payload = reply.payload] {
+                                    if (inc == incarnation_) promise.Resolve(payload);
+                                  });
       }
     }
     return;
@@ -419,14 +401,13 @@ void HopliteClient::OnClaimReply(const directory::ClaimReply& reply) {
 
   auto& st = local_store();
   if (!st.Contains(reply.object)) {
-    st.CreatePartial(reply.object, reply.object_size, store::CopyKind::kReplica,
-                     config_.chunk_size);
+    st.CreatePartial(reply.object, reply.object_size, store::CopyKind::kReplica, kChunkSize);
   }
   // Deliver from a moved-out snapshot: DeliverLocal may re-enter the client
   // and rehash/mutate fetches_, which would invalidate `session`.
   auto waiters = std::exchange(session.early_waiters, {});
-  for (auto& [options, callback] : waiters) {
-    DeliverLocal(reply.object, options, std::move(callback));
+  for (const auto& [options, promise] : waiters) {
+    DeliverLocal(reply.object, options, promise);
   }
 
   const std::int64_t resume = st.ChunksReady(reply.object);
@@ -475,7 +456,8 @@ void HopliteClient::FinishFetch(ObjectID object, store::Buffer payload) {
 // Worker-side delivery (store -> worker copy, pipelined)
 // ======================================================================
 
-void HopliteClient::DeliverLocal(ObjectID object, GetOptions options, GetCallback callback) {
+void HopliteClient::DeliverLocal(ObjectID object, GetOptions options,
+                                 const RefPromise<store::Buffer>& promise) {
   auto& st = local_store();
   HOPLITE_CHECK(st.Contains(object));
   const std::uint64_t inc = incarnation_;
@@ -483,12 +465,11 @@ void HopliteClient::DeliverLocal(ObjectID object, GetOptions options, GetCallbac
   if (options.read_only) {
     // Immutable get (§3.3): hand out a reference into the store, no copy.
     if (st.IsComplete(object)) {
-      callback(st.PayloadOf(object));
+      promise.Resolve(st.PayloadOf(object));
       return;
     }
-    st.OnCompletion(object, [this, inc, callback = std::move(callback)](
-                                const store::Buffer& payload) {
-      if (inc == incarnation_) callback(payload);
+    st.OnCompletion(object, [this, inc, promise](const store::Buffer& payload) {
+      if (inc == incarnation_) promise.Resolve(payload);
     });
     return;
   }
@@ -496,7 +477,7 @@ void HopliteClient::DeliverLocal(ObjectID object, GetOptions options, GetCallbac
   auto delivery = std::make_shared<Delivery>();
   delivery->object = object;
   delivery->options = options;
-  delivery->callback = std::move(callback);
+  delivery->promise = promise;
   delivery->total_chunks = st.StateOf(object).layout.num_chunks();
   st.Ref(object);
   delivery->store_reffed = true;
@@ -510,7 +491,7 @@ void HopliteClient::DeliverLocal(ObjectID object, GetOptions options, GetCallbac
         if (inc != incarnation_ || delivery->cancelled) return;
         delivery->finished = true;
         ReleaseDelivery(delivery);
-        delivery->callback(payload);
+        delivery->promise.Resolve(payload);
       });
     });
     return;
@@ -561,7 +542,7 @@ void HopliteClient::MaybeFinishDelivery(const std::shared_ptr<Delivery>& deliver
   // Copy the payload handle before releasing the eviction guard.
   const store::Buffer payload = st.PayloadOf(delivery->object);
   ReleaseDelivery(delivery);
-  delivery->callback(payload);
+  delivery->promise.Resolve(payload);
 }
 
 void HopliteClient::ReleaseDelivery(const std::shared_ptr<Delivery>& delivery) {
@@ -625,7 +606,7 @@ void HopliteClient::PumpPush(PushKey key) {
     return;
   }
   const auto& state = st.StateOf(push.object);
-  while (push.next_chunk < state.chunks_ready && push.in_flight < config_.transfer_window &&
+  while (push.next_chunk < state.chunks_ready && push.in_flight < kTransferWindow &&
          !push.final_sent) {
     const std::int64_t i = push.next_chunk;
     const bool final = i + 1 == push.total_chunks;
@@ -740,25 +721,6 @@ void HopliteClient::CascadeObjectReset(ObjectID object) {
 // Delete
 // ======================================================================
 
-void HopliteClient::DeleteInternal(ObjectID object, DeleteCallback done) {
-  const std::uint64_t inc = incarnation_;
-  cluster_.directory().DeleteObject(
-      object, [this, inc, object, done = std::move(done)](std::vector<NodeID> holders) {
-        if (inc != incarnation_) return;
-        for (const NodeID holder : holders) {
-          if (!cluster_.IsAlive(holder)) continue;
-          if (holder == node_) {
-            PurgeObject(object);
-            continue;
-          }
-          cluster_.SendControl(node_, holder, [this, holder, object] {
-            cluster_.client(holder).HandleDeleteLocal(object);
-          });
-        }
-        if (done) done();
-      });
-}
-
 void HopliteClient::HandleDeleteLocal(ObjectID object) { PurgeObject(object); }
 
 void HopliteClient::PurgeObject(ObjectID object) {
@@ -786,20 +748,6 @@ void HopliteClient::PurgeObject(ObjectID object) {
 // ======================================================================
 // Reduce
 // ======================================================================
-
-void HopliteClient::ReduceInternal(ReduceSpec spec, ReduceCallback callback) {
-  HOPLITE_CHECK(!spec.sources.empty()) << "Reduce needs at least one source";
-  if (spec.num_objects == 0 || spec.num_objects > spec.sources.size()) {
-    spec.num_objects = spec.sources.size();
-  }
-  const ReduceId id = (static_cast<ReduceId>(static_cast<std::uint64_t>(node_) + 1) << 40) |
-                      next_reduce_id_seed_++;
-  auto coordinator =
-      std::make_unique<ReduceCoordinator>(*this, id, std::move(spec), std::move(callback));
-  auto* raw = coordinator.get();
-  coordinators_.emplace(id, std::move(coordinator));
-  raw->Start();
-}
 
 void HopliteClient::HandleReduceAssign(const ReduceAssignment& assignment) {
   const std::pair<ReduceId, int> key{assignment.reduce_id, assignment.tree_index};
@@ -877,6 +825,11 @@ void HopliteClient::OnReduceChunkDelivered(ReduceId id, int tree_index) {
   auto it = reduce_sessions_.find({id, tree_index});
   if (it == reduce_sessions_.end()) return;  // torn down / reassigned
   it->second->OnChunkDelivered();
+}
+
+ReduceCoordinator* HopliteClient::LiveCoordinator(ReduceId id) {
+  const auto it = coordinators_.find(id);
+  return it == coordinators_.end() || it->second->done() ? nullptr : it->second.get();
 }
 
 void HopliteClient::FinishCoordinator(ReduceId id) {

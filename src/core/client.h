@@ -22,19 +22,17 @@
 //                                          set of objects over a dynamically
 //                                          constructed d-ary tree
 //
-// Refs settle inline at the simulated instant the underlying operation
-// completes (see core/ref.h), so the future surface adds no events and no
-// latency over the raw callbacks it wraps. When this node is killed, its
-// still-pending refs fail with kProducerLost at the instant the rest of the
-// cluster observes the death (the failure-detection delay of §5.5).
+// Each op settles its one promise inline, at the simulated instant its work
+// finishes (see core/ref.h), so the future surface adds no events and no
+// latency. When this node is killed, its still-pending refs fail with
+// kProducerLost at the instant the rest of the cluster observes the death
+// (the failure-detection delay of §5.5).
 //
 // Everything else on this class is protocol machinery: push/fetch sessions
 // for chunk-pipelined object transfer, reduce session routing, and failure
 // notifications. Those methods are public because in the real system they
 // are RPC endpoints; they are invoked through HopliteCluster::SendControl /
-// SendData, never called directly by applications. The raw callback layer
-// (GetCallback & friends) is private plumbing shared with the reduce
-// protocol.
+// SendData, never called directly by applications.
 #pragma once
 
 #include <cstdint>
@@ -177,8 +175,8 @@ class HopliteClient {
 
   /// ECN-like backpressure from the fabric's AQM: one of this node's
   /// transfers for `tenant` was marked. Debits the tenant's token bucket by
-  /// the configured penalty, slowing its future admissions. No-op when
-  /// admission control is off or the tenant is untagged.
+  /// a fixed penalty, slowing its future admissions. No-op when admission
+  /// control is off or the tenant is untagged.
   void OnBackpressure(qos::TenantId tenant);
 
   // ------------------------------------------------------------------
@@ -203,30 +201,28 @@ class HopliteClient {
   }
 
  private:
+  // The reduce protocol's two halves reach the session plumbing below
+  // (coordinator table, unadmitted entry points, delivery resets, chunk
+  // streaming). Making that plumbing public would let callers bypass
+  // admission, so it stays private behind these grants.
   friend class ReduceCoordinator;
   friend class ReduceSession;
 
   // ------------------------------------------------------------------
-  // Raw callback layer (private plumbing under the Ref surface; the reduce
-  // protocol and the ref adapters are the only callers).
+  // Unadmitted op entry points. The inline small-object Reduce fetches its
+  // sources and Puts its result on behalf of a Reduce that was already
+  // admitted, so it enters here; admitting them again would charge the
+  // tenant twice for one op.
   // ------------------------------------------------------------------
 
-  void PutInternal(ObjectID object, store::Buffer payload, PutCallback done,
-                   qos::TenantId tenant);
-  void GetInternal(ObjectID object, GetOptions options, GetCallback callback);
-  void DeleteInternal(ObjectID object, DeleteCallback done);
-  void ReduceInternal(ReduceSpec spec, ReduceCallback callback);
+  void IssuePut(ObjectID object, store::Buffer payload, const RefPromise<ObjectID>& promise,
+                qos::TenantId tenant);
+  void IssueGet(ObjectID object, GetOptions options,
+                const RefPromise<store::Buffer>& promise);
 
   // ------------------------------------------------------------------
   // Admission layer (QoS): token pacing + outstanding-op policing.
   // ------------------------------------------------------------------
-
-  /// What AdmitOp decided for one public-API call.
-  enum class Admission {
-    kBypass,    ///< untagged tenant or admission off: issued inline, no accounting
-    kAdmitted,  ///< counted + token taken; issued now or at the token grant
-    kRejected,  ///< policed away: caller rejects the promise with *error
-  };
 
   struct TenantAdmission {
     qos::TokenBucket bucket;
@@ -235,13 +231,15 @@ class HopliteClient {
 
   /// Lazily creates the tenant's bucket. Null when the op bypasses admission.
   TenantAdmission* AdmissionOf(qos::TenantId tenant);
-  /// The shared admission gate of Put/Get/Reduce: beyond the outstanding-op
-  /// cap the op is policed (kRejected, *error filled with kThrottled and a
-  /// retry-after hint); otherwise it is shaped — `issue` runs immediately if
-  /// a token is free, else at the bucket's grant instant (the op completes
-  /// late rather than failing). On kAdmitted the caller must arrange
-  /// OnOpSettled when the op's ref settles.
-  Admission AdmitOp(qos::TenantId tenant, RefError* error, std::function<void()> issue);
+  /// The one admission gate of Put/Get/Reduce. An untagged op (or any op
+  /// with admission off) starts inline with no accounting. Beyond the
+  /// tenant's outstanding-op cap the promise is rejected kThrottled with a
+  /// retry-after hint (policing). Otherwise the op holds one slot until its
+  /// ref settles and starts now if a token is free, else at the bucket's
+  /// grant instant (shaping) — unless it settled while it waited (a Get
+  /// timeout), in which case it is shed, never sent.
+  template <typename T>
+  void Admit(qos::TenantId tenant, const RefPromise<T>& promise, std::function<void()> start);
   void OnOpSettled(qos::TenantId tenant, bool ok);
 
   /// A type-erased pending promise, registered so node death can fail it.
@@ -270,7 +268,7 @@ class HopliteClient {
   struct Delivery {
     ObjectID object;
     GetOptions options;
-    GetCallback callback;
+    RefPromise<store::Buffer> promise;
     std::int64_t total_chunks = 0;
     std::int64_t copies_issued = 0;
     std::int64_t copies_done = 0;
@@ -295,7 +293,7 @@ class HopliteClient {
     /// pulls (including via re-claims) is charged here.
     qos::TenantId tenant = qos::kNoTenant;
     /// Gets that arrived before the object size (and store entry) existed.
-    std::vector<std::pair<GetOptions, GetCallback>> early_waiters;
+    std::vector<std::pair<GetOptions, RefPromise<store::Buffer>>> early_waiters;
   };
 
   /// Sender side of an object stream to one receiver.
@@ -307,7 +305,7 @@ class HopliteClient {
     std::uint32_t epoch = 0;
     std::uint64_t store_sub = 0;
     bool store_reffed = false;
-    int in_flight = 0;  ///< chunks on the wire (bounded by transfer_window)
+    int in_flight = 0;  ///< chunks on the wire (bounded by kTransferWindow)
     bool final_sent = false;
     /// The requesting receiver's tenant (relays inherit it), not ours.
     qos::TenantId tenant = qos::kNoTenant;
@@ -324,7 +322,8 @@ class HopliteClient {
   void FinishFetch(ObjectID object, store::Buffer payload);
 
   /// Attaches a worker delivery to an existing local store entry.
-  void DeliverLocal(ObjectID object, GetOptions options, GetCallback callback);
+  void DeliverLocal(ObjectID object, GetOptions options,
+                    const RefPromise<store::Buffer>& promise);
   void PumpDelivery(const std::shared_ptr<Delivery>& delivery);
   void MaybeFinishDelivery(const std::shared_ptr<Delivery>& delivery);
   void ReleaseDelivery(const std::shared_ptr<Delivery>& delivery);
@@ -351,6 +350,10 @@ class HopliteClient {
                        qos::TenantId tenant);
 
   void FinishCoordinator(ReduceId id);
+  /// The coordinator of reduce `id` while it still runs; null once it
+  /// finished or this node died. Reduce callbacks route through it so a
+  /// destroyed coordinator never dangles.
+  ReduceCoordinator* LiveCoordinator(ReduceId id);
 
   HopliteCluster& cluster_;
   NodeID node_;

@@ -20,8 +20,8 @@ constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
 // ======================================================================
 
 ReduceCoordinator::ReduceCoordinator(HopliteClient& client, ReduceId id, ReduceSpec spec,
-                                     ReduceCallback callback)
-    : client_(client), id_(id), spec_(std::move(spec)), callback_(std::move(callback)) {
+                                     RefPromise<ReduceResult> promise)
+    : client_(client), id_(id), spec_(std::move(spec)), promise_(std::move(promise)) {
   num_objects_ = spec_.num_objects;
   HOPLITE_CHECK_GE(num_objects_, 1u);
   HOPLITE_CHECK_LE(num_objects_, spec_.sources.size());
@@ -50,9 +50,7 @@ void ReduceCoordinator::Start() {
     sources_[i].subscription = dir.Subscribe(
         sources_[i].id,
         [client = &client_, id = id_, i](const directory::LocationEvent& event) {
-          auto it = client->coordinators_.find(id);
-          if (it == client->coordinators_.end() || it->second->done()) return;
-          it->second->OnLocationEvent(i, event);
+          if (auto* self = client->LiveCoordinator(id)) self->OnLocationEvent(i, event);
         });
   }
 }
@@ -109,14 +107,13 @@ void ReduceCoordinator::InitializeTree(std::int64_t object_size) {
         ToSeconds(net_cfg.one_way_latency + net_cfg.per_message_overhead);
     chosen_degree_ = ChooseReduceDegree(n, latency_s, net_cfg.nic_bandwidth,
                                         static_cast<double>(object_size),
-                                        static_cast<double>(client_.config().chunk_size));
+                                        static_cast<double>(kChunkSize));
   }
   shape_.emplace(n, chosen_degree_);
   fill_cursor_.emplace(*shape_);
   position_source_.assign(static_cast<std::size_t>(n), kNoSource);
   position_epoch_.assign(static_cast<std::size_t>(n), 0);
-  total_chunks_ =
-      store::ChunkLayout{object_size, client_.config().chunk_size}.num_chunks();
+  total_chunks_ = store::ChunkLayout{object_size, kChunkSize}.num_chunks();
 
   // Materialize the sink: the target object starts life as a partial copy in
   // the caller's store, immediately visible to the directory so downstream
@@ -124,8 +121,7 @@ void ReduceCoordinator::InitializeTree(std::int64_t object_size) {
   auto& st = client_.local_store();
   HOPLITE_CHECK(!st.Contains(spec_.target))
       << "Reduce target " << spec_.target << " already exists";
-  st.CreatePartial(spec_.target, object_size, store::CopyKind::kReduced,
-                   client_.config().chunk_size);
+  st.CreatePartial(spec_.target, object_size, store::CopyKind::kReduced, kChunkSize);
   client_.cluster().directory().RegisterPartial(spec_.target, client_.node(), object_size);
   sink_created_ = true;
 }
@@ -169,7 +165,6 @@ ReduceAssignment ReduceCoordinator::MakeAssignment(int position) const {
   a.source = sources_[source_index].id;
   a.op = spec_.op;
   a.object_size = object_size_;
-  a.chunk_size = client_.config().chunk_size;
   a.total_chunks = total_chunks_;
   const std::vector<int> children = shape_->Children(position);
   a.num_children = static_cast<int>(children.size());
@@ -365,7 +360,7 @@ void ReduceCoordinator::Finish() {
       });
     }
   }
-  if (callback_) callback_(result);
+  promise_.Resolve(std::move(result));
   client_.FinishCoordinator(id_);
 }
 
@@ -380,12 +375,13 @@ void ReduceCoordinator::SmallPathFetch(std::size_t source_index) {
   if (source.fetched) return;
   source.fetched = true;
   ++small_fetched_;
-  client_.GetInternal(
-      source.id, GetOptions{.read_only = true, .tenant = spec_.tenant},
+  RefPromise<store::Buffer> fetched(&client_.cluster().simulator(), source.id);
+  client_.IssueGet(source.id, GetOptions{.read_only = true, .tenant = spec_.tenant}, fetched);
+  fetched.ref().Then(
       [client = &client_, id = id_, source_index](const store::Buffer& payload) {
-        auto it = client->coordinators_.find(id);
-        if (it == client->coordinators_.end() || it->second->done()) return;
-        it->second->OnSmallPayload(source_index, payload);
+        if (auto* self = client->LiveCoordinator(id)) {
+          self->OnSmallPayload(source_index, payload);
+        }
       });
 }
 
@@ -404,14 +400,11 @@ void ReduceCoordinator::MaybeFinishSmallPath() {
   for (std::size_t i = 1; i < small_payloads_.size(); ++i) {
     result = store::Buffer::Reduce(result, small_payloads_[i].second, spec_.op);
   }
-  client_.PutInternal(
-      spec_.target, std::move(result),
-      [client = &client_, id = id_] {
-        auto it = client->coordinators_.find(id);
-        if (it == client->coordinators_.end() || it->second->done()) return;
-        it->second->Finish();
-      },
-      spec_.tenant);
+  RefPromise<ObjectID> stored(&client_.cluster().simulator(), spec_.target);
+  client_.IssuePut(spec_.target, std::move(result), stored, spec_.tenant);
+  stored.ref().Then([client = &client_, id = id_] {
+    if (auto* self = client->LiveCoordinator(id)) self->Finish();
+  });
 }
 
 // ======================================================================
@@ -543,8 +536,8 @@ void ReduceSession::Pump() {
   if (!subscribed_ || final_sent_) return;
   if (assignment_.parent_host == kInvalidNode) return;  // parent not placed yet
   const std::int64_t ready = OutputReady();
-  const store::ChunkLayout layout{assignment_.object_size, assignment_.chunk_size};
-  while (pushed_upto_ < ready && in_flight_ < client_.config().transfer_window) {
+  const store::ChunkLayout layout{assignment_.object_size, kChunkSize};
+  while (pushed_upto_ < ready && in_flight_ < kTransferWindow) {
     const std::int64_t i = pushed_upto_++;
     const bool final = i + 1 == assignment_.total_chunks;
     ReduceChunkMsg msg;

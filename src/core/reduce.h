@@ -32,6 +32,7 @@
 #include "common/det.h"
 #include "common/ids.h"
 #include "core/reduce_tree.h"
+#include "core/ref.h"
 #include "core/types.h"
 #include "directory/object_directory.h"
 #include "store/buffer.h"
@@ -44,7 +45,7 @@ class HopliteClient;
 class ReduceCoordinator {
  public:
   ReduceCoordinator(HopliteClient& client, ReduceId id, ReduceSpec spec,
-                    ReduceCallback callback);
+                    RefPromise<ReduceResult> promise);
   ~ReduceCoordinator();
   ReduceCoordinator(const ReduceCoordinator&) = delete;
   ReduceCoordinator& operator=(const ReduceCoordinator&) = delete;
@@ -93,7 +94,7 @@ class ReduceCoordinator {
   HopliteClient& client_;
   ReduceId id_;
   ReduceSpec spec_;
-  ReduceCallback callback_;
+  RefPromise<ReduceResult> promise_;
   std::size_t num_objects_ = 0;
 
   std::vector<SourceInfo> sources_;
@@ -171,7 +172,7 @@ class ReduceSession {
 
   std::int64_t pushed_upto_ = 0;
   bool final_sent_ = false;
-  int in_flight_ = 0;  ///< output chunks on the wire (transfer_window bound)
+  int in_flight_ = 0;  ///< output chunks on the wire (kTransferWindow bound)
 };
 
 }  // namespace hoplite::core

@@ -1,14 +1,15 @@
 // Composable object futures: the public asynchrony surface of the repo.
 //
 // A `Ref<T>` is a deterministic, simulator-driven future, usually bound to
-// an ObjectID (`id()`): `HopliteClient::{Put,Get,Delete,Reduce}` and
-// `TaskSystem::Submit` all return one immediately (§2.1: tasks "return
-// object futures immediately"). Continuations attached with `Then` run
-// *inline* at the simulated instant the ref settles — attaching a
-// continuation never schedules an event of its own — so a program written
-// against refs is event-for-event identical to the same program written
-// against raw callbacks. Determinism is inherited from the Simulator:
-// settle order is event order, and continuations fire in attach order.
+// an ObjectID (`id()`): `HopliteClient::{Put,Get,Delete,Reduce}`, the
+// baselines and `TaskSystem::Submit` all return one immediately (§2.1: tasks
+// "return object futures immediately"). It is the only completion mechanism
+// above the engine: each op settles its promise where its work finishes.
+// Continuations attached with `Then` run *inline* at the simulated instant
+// the ref settles — attaching a continuation never schedules an event of
+// its own — so a ref adds no events and no latency to the op it reports.
+// Determinism is inherited from the Simulator: settle order is event order,
+// and continuations fire in attach order.
 //
 // A ref settles exactly once, either with a value or with a `RefError`.
 // Errors propagate down `Then` chains and through `WhenAll` without running
@@ -331,16 +332,6 @@ class RefPromise {
 [[nodiscard]] inline Ref<Unit> At(sim::Engine& sim, SimTime t) {
   RefPromise<Unit> promise(&sim, ObjectID{});
   sim.ScheduleAt(t, [promise] { promise.Resolve(Unit{}); });
-  return promise.ref();
-}
-
-/// Wraps a callback-driven operation into a ref resolving with its simulated
-/// completion time: `start` receives the done-callback to fire. The adapter
-/// the baselines use to lift their internal callback plumbing into refs.
-template <typename StartFn>
-[[nodiscard]] Ref<SimTime> TimedRef(sim::Engine& sim, StartFn start) {
-  RefPromise<SimTime> promise(&sim, ObjectID{});
-  start(std::function<void()>([&sim, promise] { promise.Resolve(sim.Now()); }));
   return promise.ref();
 }
 

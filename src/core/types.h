@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -14,11 +13,18 @@
 
 namespace hoplite::core {
 
+/// Pipelining block size (§5.1.1: "our pipelining block size is 4 MB").
+inline constexpr std::int64_t kChunkSize = 4 * 1024 * 1024;
+
+/// Maximum in-flight chunks per outgoing stream (broadcast pushes and reduce
+/// output streams). Bounded windows keep concurrent streams interleaving at
+/// chunk granularity on a node's NIC — the simulated analogue of TCP's fair
+/// bandwidth sharing; issuing a whole buffered object in one burst would
+/// monopolize the FIFO NIC reservation queue.
+inline constexpr int kTransferWindow = 2;
+
 /// Tunables of the Hoplite protocol layer.
 struct HopliteConfig {
-  /// Pipelining block size (§5.1.1: "our pipelining block size is 4 MB").
-  std::int64_t chunk_size = 4 * 1024 * 1024;
-
   /// 0 = adaptive d from Eq. (1); otherwise force 1, 2, or any d >= n for a
   /// star. Used by the Figure 15 ablation.
   int forced_reduce_degree = 0;
@@ -26,13 +32,6 @@ struct HopliteConfig {
   /// When false, Put/Get skip the worker<->store chunk pipelining and copy
   /// sequentially (ablation knob for the Figure 6 "without pipelining" rows).
   bool pipeline_worker_copies = true;
-
-  /// Maximum in-flight chunks per outgoing stream (broadcast pushes and
-  /// reduce output streams). Bounded windows keep concurrent streams
-  /// interleaving at chunk granularity on a node's NIC — the simulated
-  /// analogue of TCP's fair bandwidth sharing; issuing a whole buffered
-  /// object in one burst would monopolize the FIFO NIC reservation queue.
-  int transfer_window = 2;
 };
 
 struct GetOptions {
@@ -49,10 +48,6 @@ struct GetOptions {
   /// WFQ weight class and the admission bucket.
   qos::TenantId tenant = qos::kNoTenant;
 };
-
-using GetCallback = std::function<void(const store::Buffer&)>;
-using PutCallback = std::function<void()>;
-using DeleteCallback = std::function<void()>;
 
 /// A Reduce request (Table 1): build `target` by reducing `num_objects` of
 /// the given source objects with `op`. num_objects == 0 means all sources.
@@ -73,8 +68,6 @@ struct ReduceResult {
   std::vector<ObjectID> unreduced;
 };
 
-using ReduceCallback = std::function<void(const ReduceResult&)>;
-
 using ReduceId = std::uint64_t;
 
 /// Epoch counter guarding reduce data streams across failure resets: stale
@@ -90,7 +83,6 @@ struct ReduceAssignment {
   ObjectID source;
   store::ReduceOp op = store::ReduceOp::kSum;
   std::int64_t object_size = 0;
-  std::int64_t chunk_size = 0;
   std::int64_t total_chunks = 0;
   /// Number of children this position reduces (0 for leaves).
   int num_children = 0;

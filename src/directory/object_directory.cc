@@ -9,6 +9,13 @@ namespace hoplite::directory {
 
 namespace {
 
+/// Latency of a location write as measured in §5.1.1 (167 us).
+constexpr SimDuration kWriteLatency = Microseconds(167);
+/// Latency of a location read as measured in §5.1.1 (177 us).
+constexpr SimDuration kReadLatency = Microseconds(177);
+/// One-way push latency for parked-query wakeups and subscriptions.
+constexpr SimDuration kNotifyLatency = Microseconds(85);
+
 /// Sorted-insert position for `node` in the flat location table.
 template <typename Records>
 [[nodiscard]] auto LowerBound(Records& records, NodeID node) {
@@ -75,7 +82,7 @@ ObjectDirectory::ObjectDirectory(net::Fabric& network, DirectoryConfig config)
 
 void ObjectDirectory::ApplyWrite(std::function<void()> mutation) {
   ++ops_served_;
-  sim_.ScheduleAfter(config_.write_latency, std::move(mutation));
+  sim_.ScheduleAfter(kWriteLatency, std::move(mutation));
 }
 
 void ObjectDirectory::RegisterPartial(ObjectID object, NodeID node, std::int64_t size) {
@@ -120,7 +127,7 @@ void ObjectDirectory::RegisterCachedCopy(ObjectID object, NodeID node,
       // was not a location yet), so tell it to reap the copy itself.
       interests_.Abort(object);
       if (on_deleted) {
-        sim_.ScheduleAfter(config_.notify_latency, std::move(on_deleted));
+        sim_.ScheduleAfter(kNotifyLatency, std::move(on_deleted));
       }
       return;
     }
@@ -160,7 +167,7 @@ void ObjectDirectory::PutInline(ObjectID object, NodeID creator, store::Buffer p
   network_.Send(
       creator, shard, bytes,
       [this, object, payload = std::move(payload), on_stored = std::move(on_stored)] {
-        sim_.ScheduleAfter(config_.write_latency, [this, object, payload, on_stored] {
+        sim_.ScheduleAfter(kWriteLatency, [this, object, payload, on_stored] {
           ObjectEntry& entry = EntryOf(object);
           entry.size = payload.size();
           entry.is_inline = true;
@@ -202,7 +209,7 @@ void ObjectDirectory::DeleteObject(ObjectID object,
           reply.object = object;
           reply.object_size = size;
           reply.deleted = true;
-          sim_.ScheduleAfter(config_.notify_latency,
+          sim_.ScheduleAfter(kNotifyLatency,
                              [callback = std::move(claim.callback), reply] { callback(reply); });
         } else {
           replug.push_back(std::move(claim));
@@ -332,8 +339,8 @@ void ObjectDirectory::AuditDirectory() const {
 void ObjectDirectory::ClaimSender(ObjectID object, NodeID receiver, ClaimCallback callback,
                                   qos::TenantId tenant) {
   ++ops_served_;
-  sim_.ScheduleAfter(config_.read_latency, [this, object, receiver, tenant,
-                                            callback = std::move(callback)]() mutable {
+  sim_.ScheduleAfter(kReadLatency, [this, object, receiver, tenant,
+                                    callback = std::move(callback)]() mutable {
     ObjectEntry& entry = EntryOf(object);
     if (entry.is_inline && !coalescing()) {
       ServeInlineFromShard(object, entry, receiver, std::move(callback), tenant);
@@ -438,7 +445,7 @@ void ObjectDirectory::ServeParked(ObjectID object) {
       reply.object_size = entry.size;
       reply.local_copy = true;
       reply.sender = receiver;
-      sim_.ScheduleAfter(config_.notify_latency,
+      sim_.ScheduleAfter(kNotifyLatency,
                          [callback = std::move(claim.callback), reply] { callback(reply); });
       continue;
     }
@@ -446,8 +453,7 @@ void ObjectDirectory::ServeParked(ObjectID object) {
     if (sender != kInvalidNode) {
       ParkedClaim claim = std::move(entry.parked.front());
       entry.parked.pop_front();
-      Grant(object, entry, sender, claim.receiver, std::move(claim.callback),
-            config_.notify_latency);
+      Grant(object, entry, sender, claim.receiver, std::move(claim.callback), kNotifyLatency);
       continue;
     }
     if (entry.is_inline && !interests_.Pending(object) && !HasSupply(entry)) {
@@ -540,7 +546,7 @@ ObjectDirectory::SubscriptionId ObjectDirectory::Subscribe(ObjectID object,
   // snapshot); the current-state snapshot is delivered one read latency
   // later, like any async query reply (§3.2).
   EntryOf(object).subscribers.emplace_back(id, std::move(callback));
-  sim_.ScheduleAfter(config_.read_latency, [this, object, id] {
+  sim_.ScheduleAfter(kReadLatency, [this, object, id] {
     auto obj_it = objects_.find(object);
     if (obj_it == objects_.end()) return;
     ObjectEntry& entry = obj_it->second;
@@ -580,7 +586,7 @@ void ObjectDirectory::Publish(ObjectID object, const ObjectEntry& entry,
                               const LocationEvent& event) {
   (void)object;
   for (const auto& [id, callback] : entry.subscribers) {
-    sim_.ScheduleAfter(config_.notify_latency, [callback, event] { callback(event); });
+    sim_.ScheduleAfter(kNotifyLatency, [callback, event] { callback(event); });
   }
 }
 

@@ -17,9 +17,9 @@
 //    and records the receiver's upstream dependency chain so that failure
 //    recovery never creates cyclic fetches (§3.5.1).
 //
-// Timing: every read costs `read_latency` and every write costs
-// `write_latency` (the paper measures 177 us / 167 us on its testbed);
-// parked-query wakeups are pushed with `notify_latency`. Inline payload bytes
+// Timing: every read costs 177 us and every write 167 us, the latencies the
+// paper measures on its testbed (§5.1.1); parked-query wakeups are pushed
+// after 85 us. Inline payload bytes
 // additionally travel through the simulated NICs of the shard node, so e.g. a
 // 16-node small-object broadcast serializes at the shard's egress exactly as
 // it would on the real system.
@@ -46,12 +46,6 @@
 namespace hoplite::directory {
 
 struct DirectoryConfig {
-  /// Latency of a location write as measured in §5.1.1 (167 us).
-  SimDuration write_latency = Microseconds(167);
-  /// Latency of a location read as measured in §5.1.1 (177 us).
-  SimDuration read_latency = Microseconds(177);
-  /// One-way push latency for parked-query wakeups and subscriptions.
-  SimDuration notify_latency = Microseconds(85);
   /// Objects strictly smaller than this are cached inline (§3.2: 64 KB).
   std::int64_t inline_threshold = 64 * 1024;
 };
@@ -114,7 +108,7 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   ObjectDirectory& operator=(const ObjectDirectory&) = delete;
 
   // ------------------------------------------------------------------
-  // Write path (fire-and-forget, applied after write_latency).
+  // Write path (fire-and-forget, applied after the write latency).
   // ------------------------------------------------------------------
 
   /// Announces that `node` is about to hold `object` (partial copy).

@@ -65,9 +65,6 @@ struct AdmissionConfig {
   /// Outstanding-op cap: ops beyond this reject with kThrottled and a
   /// retry-after hint instead of queueing without bound (policing).
   int max_outstanding_ops = 64;
-  /// Tokens debited per ECN-like backpressure signal from the fabric's AQM
-  /// — each mark pushes the offending tenant's future admissions later.
-  double backpressure_penalty_ops = 4.0;
 
   /// The pacing rate admission applies to `tenant`.
   [[nodiscard]] double RateFor(TenantId tenant) const noexcept {

@@ -57,6 +57,9 @@ std::int64_t SizeDistribution::Sample(Rng& rng) const {
 
 namespace {
 
+/// Safety valve against runaway rate*horizon products.
+constexpr std::size_t kMaxOpsPerTenant = 1u << 20;
+
 /// Draws `count` distinct peers != home, in ascending node order (the
 /// order is part of the trace, so keep it canonical).
 std::vector<NodeID> DrawPeers(Rng& rng, int num_nodes, NodeID home, int count) {
@@ -124,7 +127,7 @@ WorkloadTrace BuildTrace(const ScenarioSpec& spec) {
 
     auto& ops = per_tenant[t];
     SimTime at = 0;
-    while (ops.size() < spec.max_ops_per_tenant) {
+    while (ops.size() < kMaxOpsPerTenant) {
       const SimDuration gap = tenant.arrivals.Next(rng);
       at += gap;
       if (at > spec.horizon) break;

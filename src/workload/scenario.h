@@ -176,8 +176,6 @@ struct ScenarioSpec {
   /// Kill/recover schedule applied during the run (Hoplite backend only).
   std::vector<FaultEvent> faults;
   std::vector<TenantSpec> tenants;
-  /// Safety valve against runaway rate*horizon products.
-  std::size_t max_ops_per_tenant = 1u << 20;
 };
 
 /// One concrete operation of a lowered trace.

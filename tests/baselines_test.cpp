@@ -61,7 +61,7 @@ TEST(BinomialTreeTest, EveryRankReachable) {
 TEST(MpiBroadcastTest, CompletesAndBeatsLinear) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(16));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   bool done = false;
   SimTime done_at = 0;
   mpi.Broadcast(AllReadyAtZero(16), GB(1)).Then([&] {
@@ -84,7 +84,7 @@ TEST(MpiBroadcastTest, InOrderArrivalsMakePartialProgress) {
   const SimDuration stagger = Milliseconds(300);
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(16));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   std::vector<Participant> parts;
   for (int i = 0; i < 16; ++i) {
     parts.push_back(Participant{static_cast<NodeID>(i), stagger * i});
@@ -103,7 +103,7 @@ TEST(MpiReduceTest, GatesOnLastArrival) {
   const std::int64_t size = MB(64);
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(8));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   auto parts = AllReadyAtZero(8);
   parts[5].ready_at = Seconds(3);  // straggler
   SimTime done_at = 0;
@@ -115,7 +115,7 @@ TEST(MpiReduceTest, GatesOnLastArrival) {
 TEST(MpiReduceTest, TreeReduceNearBandwidthBound) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(16));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   SimTime done_at = 0;
   mpi.Reduce(AllReadyAtZero(16), GB(1)).Then([&] { done_at = sim.Now(); });
   sim.Run();
@@ -129,7 +129,7 @@ TEST(MpiReduceTest, TreeReduceNearBandwidthBound) {
 TEST(MpiGatherTest, RootIngressSerializes) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(8));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   SimTime done_at = 0;
   mpi.Gather(AllReadyAtZero(8), MB(64)).Then([&] { done_at = sim.Now(); });
   sim.Run();
@@ -140,7 +140,7 @@ TEST(MpiGatherTest, RootIngressSerializes) {
 TEST(MpiAllreduceTest, RingWithinTenPercentOfOptimal) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(16));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   SimTime done_at = 0;
   mpi.Allreduce(AllReadyAtZero(16), GB(1)).Then([&] { done_at = sim.Now(); });
   sim.Run();
@@ -152,7 +152,7 @@ TEST(MpiAllreduceTest, RingWithinTenPercentOfOptimal) {
 TEST(MpiAllreduceTest, SmallSizesUseLatencyBoundAlgorithm) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(16));
-  MpiLikeCollectives mpi(sim, net, MpiConfig{});
+  MpiLikeCollectives mpi(sim, net);
   SimTime done_at = 0;
   mpi.Allreduce(AllReadyAtZero(16), KB(1)).Then([&] { done_at = sim.Now(); });
   sim.Run();
@@ -163,7 +163,7 @@ TEST(MpiAllreduceTest, SmallSizesUseLatencyBoundAlgorithm) {
 TEST(GlooTest, BroadcastIsLinearInReceivers) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(8));
-  GlooLikeCollectives gloo(sim, net, GlooConfig{});
+  GlooLikeCollectives gloo(sim, net);
   SimTime done_at = 0;
   gloo.Broadcast(AllReadyAtZero(8), MB(64)).Then([&] { done_at = sim.Now(); });
   sim.Run();
@@ -174,7 +174,7 @@ TEST(GlooTest, BroadcastIsLinearInReceivers) {
 TEST(GlooTest, RingChunkedAllreduceNearOptimal) {
   sim::Simulator sim;
   net::FlatFabric net(sim, NetConfig(16));
-  GlooLikeCollectives gloo(sim, net, GlooConfig{});
+  GlooLikeCollectives gloo(sim, net);
   SimTime done_at = 0;
   gloo.RingChunkedAllreduce(AllReadyAtZero(16), GB(1)).Then([&] { done_at = sim.Now(); });
   sim.Run();
@@ -186,7 +186,7 @@ TEST(GlooTest, HalvingDoublingCompletes) {
   for (int n : {4, 8, 16, 12}) {  // includes a non-power-of-two
     sim::Simulator sim;
     net::FlatFabric net(sim, NetConfig(n));
-    GlooLikeCollectives gloo(sim, net, GlooConfig{});
+    GlooLikeCollectives gloo(sim, net);
     bool done = false;
     gloo.HalvingDoublingAllreduce(AllReadyAtZero(n), MB(32)).Then([&] { done = true; });
     sim.Run();
@@ -201,14 +201,14 @@ TEST(GlooTest, HalvingDoublingBeatsRingOnLatencyBoundSizes) {
   {
     sim::Simulator sim;
     net::FlatFabric net(sim, NetConfig(16));
-    GlooLikeCollectives gloo(sim, net, GlooConfig{});
+    GlooLikeCollectives gloo(sim, net);
     gloo.RingChunkedAllreduce(AllReadyAtZero(16), size).Then([&] { ring = sim.Now(); });
     sim.Run();
   }
   {
     sim::Simulator sim;
     net::FlatFabric net(sim, NetConfig(16));
-    GlooLikeCollectives gloo(sim, net, GlooConfig{});
+    GlooLikeCollectives gloo(sim, net);
     gloo.HalvingDoublingAllreduce(AllReadyAtZero(16), size).Then([&] { hd = sim.Now(); });
     sim.Run();
   }
@@ -381,7 +381,7 @@ const ObjectID kGoldenTarget = ObjectID::FromName("golden-sum");
 
 /// Every rank i >= 1 sends to rank 0 at its arrival.
 void MpiSend(GoldenRun& run) {
-  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  MpiLikeCollectives mpi(run.sim, run.net);
   for (int i = 1; i < run.n; ++i) {
     run.sim.ScheduleAt(run.ReadyAt(i), [&run, &mpi, i] {
       run.Track(mpi.Send(static_cast<NodeID>(i), 0, run.bytes));
@@ -391,43 +391,43 @@ void MpiSend(GoldenRun& run) {
 }
 
 void MpiBroadcast(GoldenRun& run) {
-  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  MpiLikeCollectives mpi(run.sim, run.net);
   run.Track(mpi.Broadcast(run.Ranks(), run.bytes));
   run.sim.Run();
 }
 
 void MpiReduce(GoldenRun& run) {
-  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  MpiLikeCollectives mpi(run.sim, run.net);
   run.Track(mpi.Reduce(run.Ranks(), run.bytes));
   run.sim.Run();
 }
 
 void MpiGather(GoldenRun& run) {
-  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  MpiLikeCollectives mpi(run.sim, run.net);
   run.Track(mpi.Gather(run.Ranks(), run.bytes));
   run.sim.Run();
 }
 
 void MpiAllreduce(GoldenRun& run) {
-  MpiLikeCollectives mpi(run.sim, run.net, MpiConfig{});
+  MpiLikeCollectives mpi(run.sim, run.net);
   run.Track(mpi.Allreduce(run.Ranks(), run.bytes));
   run.sim.Run();
 }
 
 void GlooBroadcast(GoldenRun& run) {
-  GlooLikeCollectives gloo(run.sim, run.net, GlooConfig{});
+  GlooLikeCollectives gloo(run.sim, run.net);
   run.Track(gloo.Broadcast(run.Ranks(), run.bytes));
   run.sim.Run();
 }
 
 void GlooRingChunked(GoldenRun& run) {
-  GlooLikeCollectives gloo(run.sim, run.net, GlooConfig{});
+  GlooLikeCollectives gloo(run.sim, run.net);
   run.Track(gloo.RingChunkedAllreduce(run.Ranks(), run.bytes));
   run.sim.Run();
 }
 
 void GlooHalvingDoubling(GoldenRun& run) {
-  GlooLikeCollectives gloo(run.sim, run.net, GlooConfig{});
+  GlooLikeCollectives gloo(run.sim, run.net);
   run.Track(gloo.HalvingDoublingAllreduce(run.Ranks(), run.bytes));
   run.sim.Run();
 }
