@@ -48,7 +48,7 @@ std::vector<Row> Run(const RunOptions& opt) {
       point("d=n", ReduceWithDegree(n, bytes, n, opt.shards));
       const int model_d = core::ChooseReduceDegree(
           n, ToSeconds(fabric.one_way_latency + fabric.per_message_overhead),
-          fabric.nic_bandwidth, static_cast<double>(bytes),
+          net::kNicBandwidth, static_cast<double>(bytes),
           static_cast<double>(core::kChunkSize));
       point("eq1-degree", static_cast<double>(model_d), "degree");
     }

@@ -75,7 +75,7 @@ std::vector<Row> Run(const RunOptions& opt) {
                          .value = seconds});
     };
     point("Optimal",
-          2.0 * ToSeconds(TransferTime(bytes, net::ClusterConfig{}.nic_bandwidth)));
+          2.0 * ToSeconds(TransferTime(bytes, net::kNicBandwidth)));
     point("Hoplite", HopliteRtt(bytes, true, opt.shards));
     point("Hoplite (no pipeline)", HopliteRtt(bytes, false, opt.shards));
     point("OpenMPI", MpiRtt(bytes));

@@ -36,7 +36,7 @@ constexpr int kStages = 4;
 /// Per-stage compute: sized against the wire time of one activation so the
 /// pipeline is neither pure-compute nor pure-network.
 [[nodiscard]] SimDuration StageCompute(std::int64_t bytes) {
-  return TransferTime(bytes, net::ClusterConfig{}.nic_bandwidth) / 2;
+  return TransferTime(bytes, net::kNicBandwidth) / 2;
 }
 
 double HoplitePipeline(int microbatches, std::int64_t bytes, int shards) {

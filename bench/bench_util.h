@@ -30,12 +30,13 @@
 namespace hoplite::bench {
 
 /// Fresh cluster with the paper's fabric (10 Gbps, ~85 us RTT). The fabric
-/// constants are exactly the `net::ClusterConfig` defaults — only the node
-/// count varies here, so benches and runtime defaults can never drift. The
-/// asserts below pin the defaults to the paper's testbed numbers.
-static_assert(net::ClusterConfig{}.nic_bandwidth == Gbps(10));
+/// constants are exactly the `net::ClusterConfig` defaults and the `net`
+/// bandwidth constants — only the node count varies here, so benches and
+/// runtime defaults can never drift. The asserts below pin them to the
+/// paper's testbed numbers.
+static_assert(net::kNicBandwidth == Gbps(10));
 static_assert(net::ClusterConfig{}.one_way_latency == Nanoseconds(42'500));
-static_assert(net::ClusterConfig{}.memcpy_bandwidth == GBps(10));
+static_assert(net::kMemcpyBandwidth == GBps(10));
 static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
 
 [[nodiscard]] inline core::HopliteCluster::Options PaperCluster(int nodes) {
@@ -154,9 +155,7 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
 }
 
 [[nodiscard]] inline double HopliteReduce(core::HopliteCluster& cluster, std::int64_t bytes,
-                                          const std::vector<SimTime>& ready_at,
-                                          int forced_degree = 0) {
-  (void)forced_degree;  // configured via cluster options
+                                          const std::vector<SimTime>& ready_at) {
   return FinishCollective(cluster, StartHopliteReduce(cluster, bytes, ready_at));
 }
 

@@ -1,12 +1,12 @@
-// Asynchronous parameter server on the dynamic-task framework (Figure 1b).
+// Asynchronous parameter server on Hoplite's object futures (Figure 1b).
 //
 // Demonstrates the paper's motivating pattern: the server reduces the
 // gradients of the first half of workers to finish each round and
 // broadcasts the new weights back to exactly those workers, while slow
-// workers keep computing on their stale copy. TaskSystem::Submit returns
-// the task's output future immediately; the collective data movement is a
-// Reduce future chained into per-worker Get futures, with WhenAll closing
-// each round.
+// workers keep computing on their stale copy. Each worker's gradient task
+// is a simulated compute delay followed by a Put of its output; the
+// collective data movement is a Reduce future chained into per-worker Get
+// futures, with WhenAll closing each round.
 //
 //   $ ./examples/parameter_server
 #include <cstdio>
@@ -17,7 +17,7 @@
 #include "core/client.h"
 #include "core/cluster.h"
 #include "core/ref.h"
-#include "task/task_system.h"
+#include "store/buffer.h"
 
 using namespace hoplite;
 
@@ -29,11 +29,11 @@ constexpr std::size_t kElems = 8 * 1024 * 1024;  // 32 MB model
 
 struct ParameterServer {
   core::HopliteCluster& cluster;
-  task::TaskSystem& tasks;
   Rng rng{42};
   std::vector<int> worker_round = std::vector<int>(kNodes, 0);
   std::vector<ObjectID> outstanding{};
   int round = 0;
+  std::size_t tasks_executed = 0;
 
   ObjectID GradId(NodeID worker, int r) {
     return ObjectID::FromName("grad").WithIndex(worker).WithIndex(r);
@@ -42,16 +42,13 @@ struct ParameterServer {
   void LaunchWorker(NodeID worker) {
     // A dynamic task: simulate the forward+backward pass, emit a gradient.
     const int r = worker_round[static_cast<std::size_t>(worker)];
-    tasks.Submit(task::TaskSpec{
-        .name = "compute-gradient",
-        .args = {},
-        .compute_time = Milliseconds(80 + static_cast<std::int64_t>(rng.NextBounded(40))),
-        .body = [worker](const auto&) {
-          return store::Buffer::FromValues(
-              std::vector<float>(kElems, static_cast<float>(worker)));
-        },
-        .output = GradId(worker, r),
-        .pinned_node = worker,
+    const SimDuration compute =
+        Milliseconds(80 + static_cast<std::int64_t>(rng.NextBounded(40)));
+    cluster.simulator().ScheduleAfter(compute, [this, worker, r] {
+      cluster.client(worker)
+          .Put(GradId(worker, r), store::Buffer::FromValues(std::vector<float>(
+                                      kElems, static_cast<float>(worker))))
+          .Then([this] { ++tasks_executed; });
     });
   }
 
@@ -106,9 +103,8 @@ int main() {
   core::HopliteCluster::Options options;
   options.network.num_nodes = kNodes;
   core::HopliteCluster cluster(options);
-  task::TaskSystem tasks(cluster);
 
-  ParameterServer server{cluster, tasks};
+  ParameterServer server{cluster};
   for (NodeID w = 1; w < kNodes; ++w) {
     server.outstanding.push_back(server.GradId(w, 0));
     server.LaunchWorker(w);
@@ -116,6 +112,6 @@ int main() {
   server.RunRound();
   cluster.RunAll();
   std::printf("\nDone: %d rounds, %zu tasks executed, final sim time %.1f ms\n",
-              server.round, tasks.tasks_executed(), ToMilliseconds(cluster.Now()));
+              server.round, server.tasks_executed, ToMilliseconds(cluster.Now()));
   return 0;
 }

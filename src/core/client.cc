@@ -929,8 +929,9 @@ void HopliteClient::OnDeathObserved() {
 }
 
 void HopliteClient::OnRecovered() {
-  // Fresh process, empty store: nothing to restore. Tasks re-Put their
-  // outputs via the framework's lineage reconstruction.
+  // Fresh process, empty store: nothing to restore. Re-creating lost
+  // objects is the task framework's job (lineage re-execution, §2.1); the
+  // apps here re-Put them by hand.
 }
 
 }  // namespace hoplite::core

@@ -100,16 +100,17 @@ void ReduceCoordinator::InitializeTree(std::int64_t object_size) {
   const auto& net_cfg = client_.cluster().network().config();
   const int n = static_cast<int>(num_objects_);
   const int forced = client_.config().forced_reduce_degree;
+  int degree = 0;
   if (forced > 0) {
-    chosen_degree_ = std::min(forced, n);
+    degree = std::min(forced, n);
   } else {
     const double latency_s =
         ToSeconds(net_cfg.one_way_latency + net_cfg.per_message_overhead);
-    chosen_degree_ = ChooseReduceDegree(n, latency_s, net_cfg.nic_bandwidth,
-                                        static_cast<double>(object_size),
-                                        static_cast<double>(kChunkSize));
+    degree = ChooseReduceDegree(n, latency_s, net::kNicBandwidth,
+                                static_cast<double>(object_size),
+                                static_cast<double>(kChunkSize));
   }
-  shape_.emplace(n, chosen_degree_);
+  shape_.emplace(n, degree);
   fill_cursor_.emplace(*shape_);
   position_source_.assign(static_cast<std::size_t>(n), kNoSource);
   position_epoch_.assign(static_cast<std::size_t>(n), 0);

@@ -61,9 +61,6 @@ class ReduceCoordinator {
   [[nodiscard]] ReduceId id() const noexcept { return id_; }
   [[nodiscard]] bool done() const noexcept { return done_; }
 
-  /// The degree the coordinator chose (for tests/benches; 0 until known).
-  [[nodiscard]] int chosen_degree() const noexcept { return chosen_degree_; }
-
  private:
   struct SourceInfo {
     ObjectID id;
@@ -104,7 +101,6 @@ class ReduceCoordinator {
   std::optional<ReduceTreeShape> shape_;
   std::int64_t object_size_ = -1;
   std::int64_t total_chunks_ = 0;
-  int chosen_degree_ = 0;
   /// Streams the fill order lazily: a reduce draws at most num_objects_
   /// positions, so the full O(n) FillSequence is never materialized.
   std::optional<ReduceTreeShape::FillCursor> fill_cursor_;

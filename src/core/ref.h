@@ -1,10 +1,10 @@
 // Composable object futures: the public asynchrony surface of the repo.
 //
 // A `Ref<T>` is a deterministic, simulator-driven future, usually bound to
-// an ObjectID (`id()`): `HopliteClient::{Put,Get,Delete,Reduce}`, the
-// baselines and `TaskSystem::Submit` all return one immediately (§2.1: tasks
-// "return object futures immediately"). It is the only completion mechanism
-// above the engine: each op settles its promise where its work finishes.
+// an ObjectID (`id()`): `HopliteClient::{Put,Get,Delete,Reduce}` and the
+// baselines return one immediately (§2.1: tasks "return object futures
+// immediately"). It is the only completion mechanism above the engine: each
+// op settles its promise where its work finishes.
 // Continuations attached with `Then` run *inline* at the simulated instant
 // the ref settles — attaching a continuation never schedules an event of
 // its own — so a ref adds no events and no latency to the op it reports.
@@ -29,7 +29,7 @@
 //                         (the error-tolerant variant a workload driver uses
 //                         to keep counting after one tenant's op fails)
 //   WhenAny(refs, k)      ids of the first k to become ready, in readiness
-//                         order (subsumes the task framework's Wait)
+//                         order (Ray's `ray.wait`)
 //   After(sim, d)         a ref that becomes ready `d` from now
 #pragma once
 
@@ -415,7 +415,7 @@ template <typename T>
 /// The bound ids of the first `k` of `refs` to become ready, in readiness
 /// order (ties settle in input order). Failed refs are skipped; if fewer
 /// than `k` refs can still become ready, the result fails with
-/// kUnsatisfiable. Subsumes the task framework's ray.wait-style primitive.
+/// kUnsatisfiable. This is Ray's `ray.wait` over object futures.
 template <typename T>
 [[nodiscard]] Ref<std::vector<ObjectID>> WhenAny(const std::vector<Ref<T>>& refs,
                                                  std::size_t k) {

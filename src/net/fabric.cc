@@ -61,7 +61,7 @@ void Fabric::Memcpy(NodeID node, std::int64_t bytes, DeliveryCallback done) {
   CheckNode(node);
   HOPLITE_CHECK_GE(bytes, 0);
   HOPLITE_CHECK(done != nullptr);
-  const SimDuration duration = TransferTime(bytes, config_.memcpy_bandwidth);
+  const SimDuration duration = TransferTime(bytes, kMemcpyBandwidth);
   const SimTime start = Reserve(&memcpy_free_at_[static_cast<std::size_t>(node)], duration);
   sim_.ScheduleAt(start + duration, std::move(done));
 }

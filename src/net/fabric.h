@@ -39,14 +39,6 @@ enum class TopologyKind {
   kRack,  ///< racks behind oversubscribed ToR uplinks, max-min fair sharing
 };
 
-[[nodiscard]] constexpr const char* TopologyName(TopologyKind kind) noexcept {
-  switch (kind) {
-    case TopologyKind::kFlat: return "flat";
-    case TopologyKind::kRack: return "rack";
-  }
-  return "?";
-}
-
 /// Topology selection and rack-level knobs, threaded through ClusterConfig.
 struct FabricConfig {
   TopologyKind topology = TopologyKind::kFlat;
@@ -64,23 +56,24 @@ struct FabricConfig {
   SimDuration cross_rack_extra_latency = 0;
 };
 
+/// Per-node NIC bandwidth, full duplex (paper: 10 Gbps). Nodes listed in
+/// `ClusterConfig::per_node_bandwidth` override it.
+inline constexpr BytesPerSecond kNicBandwidth = Gbps(10);
+
+/// Per-node memory copy bandwidth for worker<->store copies
+/// (m5.4xlarge sustains roughly 10 GB/s single-stream memcpy).
+inline constexpr BytesPerSecond kMemcpyBandwidth = GBps(10.0);
+
 /// Static description of the simulated cluster. Every member has a default
 /// (the paper's testbed), so `ClusterConfig{.num_nodes = n}` spells that
 /// testbed at n nodes.
 struct ClusterConfig {
   int num_nodes = 16;
 
-  /// Per-node NIC bandwidth, full duplex (paper: 10 Gbps).
-  BytesPerSecond nic_bandwidth = Gbps(10);
-
   /// One-way propagation + protocol latency between any two nodes.
   /// The paper's testbed measures sub-millisecond RTTs; 42.5 us one-way
   /// yields the ~85 us RTT typical of same-AZ EC2 placement groups.
   SimDuration one_way_latency = Nanoseconds(42'500);
-
-  /// Per-node memory copy bandwidth for worker<->store copies
-  /// (m5.4xlarge sustains roughly 10 GB/s single-stream memcpy).
-  BytesPerSecond memcpy_bandwidth = GBps(10.0);
 
   /// Fixed software overhead charged per message on top of propagation
   /// latency (syscall + RPC framing). Applies to every Send.
@@ -93,7 +86,7 @@ struct ClusterConfig {
   SimDuration failure_detection_delay = Milliseconds(100);
 
   /// Optional per-node NIC bandwidth override (heterogeneous clusters,
-  /// §6 "Network Heterogeneity"). Empty means uniform `nic_bandwidth`.
+  /// §6 "Network Heterogeneity"). Empty means uniform `kNicBandwidth`.
   std::vector<BytesPerSecond> per_node_bandwidth{};
 
   /// Topology selection (flat testbed vs. racks behind ToR uplinks).
@@ -112,7 +105,7 @@ struct ClusterConfig {
       HOPLITE_CHECK_LT(static_cast<std::size_t>(node), per_node_bandwidth.size());
       return per_node_bandwidth[static_cast<std::size_t>(node)];
     }
-    return nic_bandwidth;
+    return kNicBandwidth;
   }
 };
 
@@ -176,7 +169,7 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   // data-plane surface (receiver-side redirection, Table 1 semantics).
   virtual bool CancelTransfer(TransferId id) = 0;
 
-  /// Occupies `node`'s memcpy engine for bytes/memcpy_bandwidth, then `done`.
+  /// Occupies `node`'s memcpy engine for bytes/kMemcpyBandwidth, then `done`.
   // hoplite-sa: mailbox -- local-copy half of the data plane, same contract
   // as Send with src == dst.
   void Memcpy(NodeID node, std::int64_t bytes, DeliveryCallback done);

@@ -565,7 +565,7 @@ void RackFabric::PauseFlow(TransferId id) {
   flow.remaining = LeaveClass(id, flow, dirty);
   flow.stage = Stage::kPaused;
   flow.delivery_event =
-      sim_.ScheduleAfter(aqm_.pause(), [this, id] { ResumeFlow(id); });
+      sim_.ScheduleAfter(qos::kAqmPause, [this, id] { ResumeFlow(id); });
   Recompute(dirty);
   RescheduleCompletion();
 }

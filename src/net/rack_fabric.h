@@ -278,8 +278,8 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
   [[nodiscard]] bool SojournAboveTarget(std::size_t link, qos::TenantId tenant) const;
   /// The scheduled CoDel control-law check for one (uplink, tenant) queue.
   void OnAqmCheck(std::size_t link, qos::TenantId tenant);
-  /// Takes a wire flow off the links for the configured AQM pause, then
-  /// resumes it with its residue.
+  /// Takes a wire flow off the links for `qos::kAqmPause`, then resumes it
+  /// with its residue.
   void PauseFlow(TransferId id);
   void ResumeFlow(TransferId id);
 

@@ -23,6 +23,12 @@
 
 namespace hoplite::qos {
 
+/// A mark pauses every in-flight transfer of the marked per-tenant queue
+/// for this long (the deterministic stand-in for an early drop + sender
+/// re-rate: under WFQ, pausing less than the whole queue would leave the
+/// tenant's link share — and so everyone else's — unchanged).
+inline constexpr SimDuration kAqmPause = Milliseconds(10);
+
 /// Per-fabric AQM control state. Owned by the fabric it instruments, so
 /// every call arrives on the owning cluster's domain.
 class HOPLITE_DOMAIN_CONFINED CodelAqm {
@@ -51,7 +57,6 @@ class HOPLITE_DOMAIN_CONFINED CodelAqm {
     return config_.sojourn_target;
   }
   [[nodiscard]] SimDuration interval() const noexcept { return config_.interval; }
-  [[nodiscard]] SimDuration pause() const noexcept { return config_.pause; }
 
   /// Lifetime mark count (introspection for tests and figures).
   [[nodiscard]] std::int64_t marks() const noexcept { return marks_; }

@@ -41,11 +41,6 @@ struct AqmConfig {
   /// First above-target observation arms a check this far out; successive
   /// marks tighten the cadence CoDel-style.
   SimDuration interval = Milliseconds(100);
-  /// A mark pauses every in-flight transfer of the marked per-tenant queue
-  /// for this long (the deterministic stand-in for an early drop + sender
-  /// re-rate: under WFQ, pausing less than the whole queue would leave the
-  /// tenant's link share — and so everyone else's — unchanged).
-  SimDuration pause = Milliseconds(10);
 };
 
 /// Client-side admission knobs. Rates are per tenant per client node.

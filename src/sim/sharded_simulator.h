@@ -131,7 +131,6 @@ class ShardedSimulator {
   [[nodiscard]] int max_parallel_shards() const { return max_parallel_shards_; }
 
   [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
-  [[nodiscard]] std::size_t num_domains() const { return domains_.size() - 1; }
 
   /// Full shard-local slot/generation/heap walk plus cross-shard accounting
   /// (every heap record's domain must live on that shard; per-domain slot

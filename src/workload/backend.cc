@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "baselines/ray_like.h"
-#include "common/det.h"
 #include "common/logging.h"
 #include "core/client.h"
 #include "core/cluster.h"
@@ -123,9 +122,11 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
   }
 
   void InjectFault(NodeID node, bool kill) override {
-    if (kill) {
-      if (dead_.insert(node).second) cluster_.KillNode(node);
-    } else if (dead_.erase(node) > 0) {
+    // A schedule may repeat a node's current state; that event is a no-op.
+    const bool alive = cluster_.IsAlive(node);
+    if (kill && alive) {
+      cluster_.KillNode(node);
+    } else if (!kill && !alive) {
       cluster_.RecoverNode(node);
     }
   }
@@ -164,10 +165,9 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
   /// True when the op's home or any node it must produce on is currently
   /// down per the fault schedule.
   [[nodiscard]] bool TouchesDeadNode(const WorkloadOp& op) const {
-    if (dead_.empty()) return false;
-    if (dead_.contains(op.home)) return true;
+    if (!cluster_.IsAlive(op.home)) return true;
     for (const NodeID peer : op.peers) {
-      if (dead_.contains(peer)) return true;
+      if (!cluster_.IsAlive(peer)) return true;
     }
     return false;
   }
@@ -191,8 +191,6 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
   }
 
   core::HopliteCluster cluster_;
-  /// Nodes currently down per InjectFault, so ops fail fast at issue.
-  det::Set<NodeID> dead_;
 };
 
 // --------------------------------------------------------------------

@@ -57,15 +57,6 @@ enum class BackendKind {
   kDask,     ///< Dask 2.25-style scheduler-mediated transport
 };
 
-[[nodiscard]] constexpr const char* BackendKindName(BackendKind kind) noexcept {
-  switch (kind) {
-    case BackendKind::kHoplite: return "Hoplite";
-    case BackendKind::kRay: return "Ray";
-    case BackendKind::kDask: return "Dask";
-  }
-  return "?";
-}
-
 /// Builds a fresh backend world for `spec` (node count, fabric topology,
 /// and — Hoplite only — per-node store capacity).
 [[nodiscard]] std::unique_ptr<WorkloadBackend> MakeBackend(BackendKind kind,

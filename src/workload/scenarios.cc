@@ -268,7 +268,6 @@ ScenarioSpec BuildMisbehavingTenant(const ScenarioTuning& tuning) {
   spec.qos.tenant_weights.assign(spec.tenants.size(), 1.0);
   spec.qos.aqm_tuning.sojourn_target = Milliseconds(15);
   spec.qos.aqm_tuning.interval = Milliseconds(8);
-  spec.qos.aqm_tuning.pause = Milliseconds(10);
   spec.qos.admission_tuning.ops_per_s = 10000.0;
   spec.qos.admission_tuning.burst_ops = 1.0;
   spec.qos.admission_tuning.max_outstanding_ops = 4096;

@@ -18,10 +18,8 @@ namespace {
 net::ClusterConfig NetConfig(int nodes) {
   net::ClusterConfig cfg;
   cfg.num_nodes = nodes;
-  cfg.nic_bandwidth = Gbps(10);
   cfg.one_way_latency = Microseconds(50);
   cfg.per_message_overhead = 0;
-  cfg.memcpy_bandwidth = GBps(10);
   return cfg;
 }
 

@@ -15,10 +15,8 @@ namespace {
 HopliteCluster::Options TestOptions(int nodes) {
   HopliteCluster::Options options;
   options.network.num_nodes = nodes;
-  options.network.nic_bandwidth = Gbps(10);
   options.network.one_way_latency = Microseconds(50);
   options.network.per_message_overhead = Microseconds(5);
-  options.network.memcpy_bandwidth = GBps(10);
   options.network.failure_detection_delay = Milliseconds(100);
   return options;
 }

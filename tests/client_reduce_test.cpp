@@ -16,7 +16,6 @@ namespace {
 HopliteCluster::Options TestOptions(int nodes, int forced_degree = 0) {
   HopliteCluster::Options options;
   options.network.num_nodes = nodes;
-  options.network.nic_bandwidth = Gbps(10);
   options.network.one_way_latency = Microseconds(50);
   options.network.per_message_overhead = Microseconds(5);
   options.network.failure_detection_delay = Milliseconds(100);

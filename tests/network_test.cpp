@@ -14,10 +14,8 @@ namespace {
 ClusterConfig TestConfig(int nodes) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
-  cfg.nic_bandwidth = Gbps(10);
   cfg.one_way_latency = Microseconds(50);
   cfg.per_message_overhead = 0;  // keep arithmetic exact in tests
-  cfg.memcpy_bandwidth = GBps(10);
   cfg.failure_detection_delay = Milliseconds(100);
   return cfg;
 }

@@ -99,7 +99,6 @@ TEST(WfqSolverTest, FrozenAllocationsFloorTheirTenant) {
 net::ClusterConfig QosRackConfig() {
   net::ClusterConfig cfg;
   cfg.num_nodes = 4;
-  cfg.nic_bandwidth = Gbps(10);
   cfg.one_way_latency = Microseconds(50);
   cfg.per_message_overhead = 0;
   cfg.fabric.topology = net::TopologyKind::kRack;

@@ -21,10 +21,8 @@ namespace {
 ClusterConfig RackConfig(int nodes, int racks, double oversubscription) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
-  cfg.nic_bandwidth = Gbps(10);
   cfg.one_way_latency = Microseconds(50);
   cfg.per_message_overhead = 0;
-  cfg.memcpy_bandwidth = GBps(10);
   cfg.failure_detection_delay = Milliseconds(100);
   cfg.fabric.topology = TopologyKind::kRack;
   cfg.fabric.num_racks = racks;

@@ -15,7 +15,7 @@
 #include "common/units.h"
 #include "core/client.h"
 #include "core/cluster.h"
-#include "task/task_system.h"
+#include "store/buffer.h"
 
 namespace hoplite {
 namespace {
@@ -225,16 +225,13 @@ TEST(RefTest, WithTimeoutFiresAndIsCancelledBySettle) {
 
 TEST(RefFailureTest, WhenAllFailsWhenProducerKilledMidStream) {
   core::HopliteCluster cluster(TestOptions(4));
-  task::TaskSystem tasks(cluster,
-                         task::TaskSystemOptions{.lineage_reconstruction = false});
+  // Each 256 MB Put spends ~27 ms in its node's worker->store copy, so the
+  // kill at 10 ms lands while node 1's copy is still streaming.
   std::vector<Ref<ObjectID>> outputs;
   for (int i = 0; i < 3; ++i) {
-    outputs.push_back(tasks.Submit(task::TaskSpec{
-        .name = "producer",
-        .compute_time = Milliseconds(50),
-        .body = [](const auto&) { return MakeValue(1); },
-        .pinned_node = static_cast<NodeID>(i),
-    }));
+    outputs.push_back(cluster.client(static_cast<NodeID>(i))
+                          .Put(ObjectID::FromName("producer").WithIndex(i),
+                               store::Buffer::OfSize(MB(256))));
   }
   const auto all = WhenAll(outputs);
   std::optional<SimTime> failed_at;
@@ -253,45 +250,19 @@ TEST(RefFailureTest, WhenAllFailsWhenProducerKilledMidStream) {
   EXPECT_TRUE(outputs[1].failed());
 }
 
-TEST(RefFailureTest, LostProducerCascadesToDependentTasks) {
-  core::HopliteCluster cluster(TestOptions(2));
-  task::TaskSystem tasks(cluster,
-                         task::TaskSystemOptions{.lineage_reconstruction = false});
-  const Ref<ObjectID> producer = tasks.Submit(task::TaskSpec{
-      .name = "producer",
-      .compute_time = Milliseconds(50),
-      .body = [](const auto&) { return MakeValue(1); },
-      .pinned_node = 1,
-  });
-  const Ref<ObjectID> consumer = tasks.Submit(task::TaskSpec{
-      .name = "consumer",
-      .args = {producer.id()},
-      .compute_time = Milliseconds(5),
-      .body = [](const auto& args) { return args[0]; },
-      .pinned_node = 0,
-  });
-  cluster.simulator().ScheduleAt(Milliseconds(10), [&] { cluster.KillNode(1); });
-  cluster.RunAll();
-  ASSERT_TRUE(producer.failed());
-  ASSERT_TRUE(consumer.failed()) << "a task consuming a lost output must not hang";
-  EXPECT_EQ(consumer.error().code, RefErrorCode::kProducerLost);
-}
-
 TEST(RefFailureTest, WhenAnyRacesRecoveryAndStillResolves) {
   core::HopliteCluster cluster(TestOptions(4));
-  task::TaskSystem tasks(cluster);  // lineage reconstruction ON
+  // Node i Puts (128 + 32i) MB: its worker->store copy finishes at ~13, 17,
+  // 20 and 23 ms, so node 0 would be the first finisher.
   std::vector<Ref<ObjectID>> outputs;
   for (int i = 0; i < 4; ++i) {
-    outputs.push_back(tasks.Submit(task::TaskSpec{
-        .name = "rollout",
-        .compute_time = Milliseconds(40 + 10 * i),
-        .body = [](const auto&) { return MakeValue(2); },
-        .pinned_node = static_cast<NodeID>(i),
-    }));
+    outputs.push_back(cluster.client(static_cast<NodeID>(i))
+                          .Put(ObjectID::FromName("rollout").WithIndex(i),
+                               store::Buffer::OfSize(MB(128 + 32 * i))));
   }
-  // Kill the node running the fastest task mid-compute; it recovers later
-  // and the task re-executes from lineage. WhenAny must settle with the
-  // first 3 *actual* finishers, never a dead task's id.
+  // Kill the fastest producer mid-copy; it recovers later with an empty
+  // store. WhenAny must settle with the first 3 *actual* finishers, never
+  // the dead producer's id.
   cluster.simulator().ScheduleAt(Milliseconds(10), [&] { cluster.KillNode(0); });
   cluster.simulator().ScheduleAt(Milliseconds(500), [&] { cluster.RecoverNode(0); });
   const auto any = WhenAny(outputs, 3);
@@ -299,8 +270,9 @@ TEST(RefFailureTest, WhenAnyRacesRecoveryAndStillResolves) {
   ASSERT_TRUE(any.ready());
   EXPECT_EQ(any.value(), (std::vector<ObjectID>{outputs[1].id(), outputs[2].id(),
                                                 outputs[3].id()}));
-  // The recovered task eventually resolves too (no rejection with lineage).
-  EXPECT_TRUE(outputs[0].ready());
+  // The killed producer's ref fails at detection; recovery does not revive it.
+  ASSERT_TRUE(outputs[0].failed());
+  EXPECT_EQ(outputs[0].error().code, RefErrorCode::kProducerLost);
 }
 
 TEST(RefFailureTest, ThenChainedOffDeletedObjectObservesError) {
@@ -361,99 +333,6 @@ TEST(RefFailureTest, KilledNodesOwnRefsFailAtDetectionTime) {
   cluster.RunAll();
   ASSERT_TRUE(failed_at.has_value());
   EXPECT_EQ(*failed_at, Milliseconds(1) + Milliseconds(100));
-}
-
-TEST(RefFailureTest, CascadeFreesTheWorkerSlotOfADoomedConsumer) {
-  // A consumer wedged on a lost argument must release its worker when its
-  // ref is failed — otherwise one lost producer wedges the scheduler.
-  core::HopliteCluster cluster(TestOptions(2));
-  task::TaskSystem tasks(cluster, task::TaskSystemOptions{
-                                      .workers_per_node = 1,
-                                      .lineage_reconstruction = false});
-  const Ref<ObjectID> producer = tasks.Submit(task::TaskSpec{
-      .name = "producer",
-      .compute_time = Milliseconds(50),
-      .body = [](const auto&) { return MakeValue(1); },
-      .pinned_node = 1,
-  });
-  const Ref<ObjectID> consumer = tasks.Submit(task::TaskSpec{
-      .name = "consumer",
-      .args = {producer.id()},
-      .compute_time = Milliseconds(1),
-      .body = [](const auto& args) { return args[0]; },
-      .pinned_node = 0,
-  });
-  cluster.simulator().ScheduleAt(Milliseconds(10), [&] { cluster.KillNode(1); });
-  cluster.RunAll();
-  ASSERT_TRUE(consumer.failed());
-  // Node 0's only worker slot must be free again: an unrelated task pinned
-  // there still runs to completion.
-  const Ref<ObjectID> unrelated = tasks.Submit(task::TaskSpec{
-      .name = "unrelated",
-      .compute_time = Milliseconds(1),
-      .body = [](const auto&) { return MakeValue(3); },
-      .pinned_node = 0,
-  });
-  cluster.RunAll();
-  ASSERT_TRUE(unrelated.ready());
-  EXPECT_EQ(tasks.tasks_executed(), 1u);
-}
-
-TEST(RefFailureTest, FinishedOutputWhoseSoleCopyDiesFailsLaterConsumers) {
-  // Reconstruction off: the producer *completed* on node 1 and its (non-
-  // inline) output lived only there. After node 1 dies, a consumer of that
-  // output — submitted after the death — must fail fast, not park forever.
-  core::HopliteCluster cluster(TestOptions(2));
-  task::TaskSystem tasks(cluster,
-                         task::TaskSystemOptions{.lineage_reconstruction = false});
-  const Ref<ObjectID> producer = tasks.Submit(task::TaskSpec{
-      .name = "producer",
-      .compute_time = Milliseconds(1),
-      .body = [](const auto&) { return MakeValue(4); },
-      .pinned_node = 1,
-  });
-  cluster.RunAll();
-  ASSERT_TRUE(producer.ready());
-  cluster.KillNode(1);
-  cluster.RunAll();
-  const Ref<ObjectID> consumer = tasks.Submit(task::TaskSpec{
-      .name = "consumer",
-      .args = {producer.id()},
-      .compute_time = Milliseconds(1),
-      .body = [](const auto& args) { return args[0]; },
-  });
-  ASSERT_TRUE(consumer.failed());
-  EXPECT_EQ(consumer.error().code, RefErrorCode::kProducerLost);
-  // The producer's ref stays ready: the task did run; only the data died.
-  EXPECT_TRUE(producer.ready());
-}
-
-TEST(RefFailureTest, SubmitAfterProducerLostFailsImmediately) {
-  // The cascade must also cover tasks submitted *after* the death: their
-  // argument fetch would otherwise park a worker slot forever.
-  core::HopliteCluster cluster(TestOptions(2));
-  task::TaskSystem tasks(cluster,
-                         task::TaskSystemOptions{.lineage_reconstruction = false});
-  const Ref<ObjectID> producer = tasks.Submit(task::TaskSpec{
-      .name = "producer",
-      .compute_time = Milliseconds(50),
-      .body = [](const auto&) { return MakeValue(1); },
-      .pinned_node = 1,
-  });
-  cluster.simulator().ScheduleAt(Milliseconds(10), [&] { cluster.KillNode(1); });
-  cluster.RunAll();
-  ASSERT_TRUE(producer.failed());
-  const Ref<ObjectID> late_consumer = tasks.Submit(task::TaskSpec{
-      .name = "late-consumer",
-      .args = {producer.id()},
-      .compute_time = Milliseconds(1),
-      .body = [](const auto& args) { return args[0]; },
-  });
-  ASSERT_TRUE(late_consumer.failed());
-  EXPECT_EQ(late_consumer.error().code, RefErrorCode::kProducerLost);
-  cluster.RunAll();
-  // The doomed task never ran (and never occupied a worker).
-  EXPECT_EQ(tasks.tasks_executed(), 0u);
 }
 
 TEST(RefFailureTest, BackToBackDeathsRejectEachIncarnationsRefsSeparately) {
@@ -528,24 +407,6 @@ TEST(MembershipSubscriptionTest, DroppedHandleStopsNotifications) {
   cluster.RunAll();
   EXPECT_EQ(inner_events, 1);
   EXPECT_EQ(outer_events, 2);
-}
-
-TEST(MembershipSubscriptionTest, TaskSystemUnsubscribesOnDestruction) {
-  core::HopliteCluster cluster(TestOptions(2));
-  {
-    task::TaskSystem tasks(cluster);
-    tasks.Submit(task::TaskSpec{
-        .name = "noop",
-        .compute_time = Milliseconds(1),
-        .body = [](const auto&) { return MakeValue(0); },
-    });
-    cluster.RunAll();
-  }
-  // The TaskSystem is gone; a membership change must not call into it.
-  cluster.KillNode(1);
-  cluster.RunAll();
-  cluster.RecoverNode(1);
-  cluster.RunAll();
 }
 
 TEST(MembershipSubscriptionTest, HandleIsMovable) {

@@ -255,6 +255,40 @@ TEST(WorkloadDriverTest, FaultScheduleKillsAndRecoversMidRun) {
   }
 }
 
+TEST(WorkloadDriverTest, RedundantFaultEventsAreNoOps) {
+  // A schedule may name a node that is already in the requested state: a
+  // second kill of a dead node and a recovery of a live one change nothing
+  // (the cluster CHECK-fails on either if the backend forwards it). Ops on
+  // node 1 fail exactly while its one real outage lasts.
+  ScenarioSpec spec;
+  spec.name = "redundant-faults";
+  spec.num_nodes = 4;
+  spec.horizon = Milliseconds(90);
+  spec.seed = 6;
+  spec.faults.push_back(FaultEvent{Milliseconds(20), 2, /*kill=*/false});
+  spec.faults.push_back(FaultEvent{Milliseconds(30), 1, /*kill=*/true});
+  spec.faults.push_back(FaultEvent{Milliseconds(45), 1, /*kill=*/true});
+  spec.faults.push_back(FaultEvent{Milliseconds(60), 1, /*kill=*/false});
+  spec.faults.push_back(FaultEvent{Milliseconds(75), 1, /*kill=*/false});
+  TenantSpec tenant;
+  tenant.name = "steady";
+  tenant.arrivals = {ArrivalProcess::Kind::kPeriodic, 500.0};
+  tenant.mix = OpMix{1.0, 0.0, 0.0, 0.0};
+  tenant.sizes = SizeDistribution::Fixed(KB(64));
+  tenant.pinned_home = 1;
+  spec.tenants.push_back(tenant);
+
+  const LoadReport report = RunScenario(spec, BackendKind::kHoplite);
+  EXPECT_TRUE(report.all_settled);
+  EXPECT_GT(report.total.failed, 0u);
+  EXPECT_GT(report.total.completed, 0u);
+  for (const OpOutcome& outcome : report.ops) {
+    const bool in_dead_window = outcome.issued_at >= Milliseconds(30) &&
+                                outcome.issued_at <= Milliseconds(60);
+    EXPECT_EQ(outcome.ok, !in_dead_window) << "op issued at " << outcome.issued_at;
+  }
+}
+
 TEST(WorkloadScenarioRegistryTest, CanonicalScenariosAreRegistered) {
   EXPECT_NE(ScenarioRegistry::Instance().Find("serving"), nullptr);
   EXPECT_NE(ScenarioRegistry::Instance().Find("mixed"), nullptr);
