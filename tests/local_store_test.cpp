@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/det.h"
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace hoplite::store {
@@ -164,6 +169,115 @@ TEST(LocalStoreTest, EmptyObjectCompletes) {
   store.MarkComplete(kObj, Buffer::OfSize(0));
   EXPECT_TRUE(store.IsComplete(kObj));
   EXPECT_EQ(store.ChunksReady(kObj), 1);  // the single empty chunk
+}
+
+struct GoldenStoreTrace {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+  std::uint64_t evictions = 0;
+
+  void Fold(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// 100 seeded sequences of 200 store operations each on a 400 B store fed
+/// 1-100 B objects from a pool of 24 ids, so ids come back after eviction
+/// and removal (exercising the ghost lists). About half the creates are
+/// pinned primaries; the rest spread over the three evictable kinds. After
+/// every step the trace folds (sequence, step, evictions, used bytes,
+/// resident ids), so any change to which entry a policy evicts, or when,
+/// moves the digest.
+GoldenStoreTrace ReplayGoldenStoreOps(cache::EvictionPolicyKind kind) {
+  constexpr std::int64_t kCapacity = 400;
+  constexpr int kPool = 24;
+  GoldenStoreTrace trace;
+  for (std::uint64_t seq = 0; seq < 100; ++seq) {
+    Rng rng(0x570e + seq);
+    LocalStore store(0, kCapacity, cache::MakeEvictionPolicy(kind, kCapacity));
+    det::Map<ObjectID, int> held;  // refs this sequence holds, per object
+    auto pick = [&rng](const std::vector<ObjectID>& from) {
+      return from[rng.NextBounded(from.size())];
+    };
+    for (int step = 0; step < 200; ++step) {
+      const std::vector<ObjectID> resident = store.ListObjects();
+      const std::uint64_t op = rng.NextBounded(100);
+      if (op < 30) {
+        const ObjectID id = ObjectID::FromName("golden").WithIndex(
+            static_cast<std::int64_t>(rng.NextBounded(kPool)));
+        const auto size = 1 + static_cast<std::int64_t>(rng.NextBounded(100));
+        const std::uint64_t draw = rng.NextBounded(6);
+        const CopyKind copy = draw < 3   ? CopyKind::kPrimary
+                              : draw < 4 ? CopyKind::kReplica
+                              : draw < 5 ? CopyKind::kReduced
+                                         : CopyKind::kCached;
+        if (!store.Contains(id)) store.CreatePartial(id, size, copy, 16);
+      } else if (op < 55) {
+        std::vector<ObjectID> partial;
+        for (const ObjectID id : resident) {
+          if (!store.IsComplete(id)) partial.push_back(id);
+        }
+        if (!partial.empty()) {
+          const ObjectID id = pick(partial);
+          store.MarkComplete(id, Buffer::OfSize(store.StateOf(id).size));
+        }
+      } else if (op < 65) {
+        if (!resident.empty()) {
+          const ObjectID id = pick(resident);
+          store.Ref(id);
+          ++held[id];
+        }
+      } else if (op < 75) {
+        if (!held.empty()) {
+          std::vector<ObjectID> reffed;
+          for (const auto& [id, count] : held) reffed.push_back(id);
+          const ObjectID id = pick(reffed);
+          store.Unref(id);
+          if (--held[id] == 0) held.erase(id);
+        }
+      } else if (op < 90) {
+        if (!resident.empty()) store.Touch(pick(resident));
+      } else if (!resident.empty()) {
+        const ObjectID id = pick(resident);
+        store.Remove(id);
+        held.erase(id);  // a removed entry's refs died with it
+      }
+      trace.Fold(seq);
+      trace.Fold(static_cast<std::uint64_t>(step));
+      trace.Fold(store.evictions());
+      trace.Fold(static_cast<std::uint64_t>(store.used_bytes()));
+      for (const ObjectID id : store.ListObjects()) trace.Fold(id.value());
+    }
+    trace.evictions += store.evictions();
+  }
+  return trace;
+}
+
+TEST(LocalStoreGoldenTest, LruEvictionTraceIsPinned) {
+  const GoldenStoreTrace trace = ReplayGoldenStoreOps(cache::EvictionPolicyKind::kLru);
+  EXPECT_EQ(trace.digest, 0xfedf4648fbe96b6dULL) << std::hex << "digest 0x" << trace.digest;
+  EXPECT_EQ(trace.evictions, 1363u);
+}
+
+TEST(LocalStoreGoldenTest, TwoQEvictionTraceIsPinned) {
+  const GoldenStoreTrace trace = ReplayGoldenStoreOps(cache::EvictionPolicyKind::kTwoQ);
+  EXPECT_EQ(trace.digest, 0x1d9652d28b1b457dULL) << std::hex << "digest 0x" << trace.digest;
+  EXPECT_EQ(trace.evictions, 1364u);
+}
+
+TEST(LocalStoreGoldenTest, SegmentedLruEvictionTraceIsPinned) {
+  const GoldenStoreTrace trace =
+      ReplayGoldenStoreOps(cache::EvictionPolicyKind::kSegmentedLru);
+  EXPECT_EQ(trace.digest, 0x8ba63fa4a256c91bULL) << std::hex << "digest 0x" << trace.digest;
+  EXPECT_EQ(trace.evictions, 1361u);
+}
+
+TEST(LocalStoreGoldenTest, ArcEvictionTraceIsPinned) {
+  const GoldenStoreTrace trace = ReplayGoldenStoreOps(cache::EvictionPolicyKind::kArc);
+  EXPECT_EQ(trace.digest, 0x48f1cc3abe61da91ULL) << std::hex << "digest 0x" << trace.digest;
+  EXPECT_EQ(trace.evictions, 1363u);
 }
 
 }  // namespace
