@@ -1,68 +1,163 @@
 #include "cache/eviction_policy.h"
 
-#include <utility>
+#include <algorithm>
+#include <iterator>
+#include <list>
 
+#include "common/det.h"
 #include "common/logging.h"
 
 namespace hoplite::cache {
 namespace {
 
-/// Queue node shared by every policy: the id plus the byte size the store
-/// reported at insert, so segmented policies can budget segments in bytes.
+/// Resident queue node: the id, the byte size the store reported at insert
+/// (so segmented policies can budget segments in bytes), and the stamp the
+/// node took when it last reached its queue's front.
 struct QueueEntry {
+  ObjectID id;
+  std::int64_t bytes = 0;
+  std::uint64_t stamp = 0;
+};
+
+/// Ghost breadcrumb of a capacity eviction: remembered, never a victim.
+struct GhostEntry {
   ObjectID id;
   std::int64_t bytes = 0;
 };
 
-using Queue = std::list<QueueEntry>;
+using GhostQueue = std::list<GhostEntry>;
 
-/// Scans `queue` from its eviction end (back) toward the front, returning
-/// the first entry the store accepts.
-[[nodiscard]] std::optional<ObjectID> ScanForVictim(
-    const Queue& queue, const EvictionPolicy::EvictablePredicate& evictable) {
-  for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
-    if (evictable(it->id)) return it->id;
+/// One policy queue plus an exact order over its evictable members. Every
+/// queue gains entries only at its front (insert, touch, promotion,
+/// demotion), each under a fresh stamp from the queue's own counter, so
+/// list order is stamp order and the smallest evictable stamp is exactly
+/// the entry a back-to-front scan for an evictable member would find.
+class HOPLITE_DOMAIN_CONFINED StampedQueue {
+ public:
+  using iterator = std::list<QueueEntry>::iterator;
+
+  /// New arrivals are not evictable.
+  iterator PushFront(ObjectID id, std::int64_t bytes) {
+    entries_.push_front(QueueEntry{id, bytes, next_stamp_++});
+    return entries_.begin();
   }
-  return std::nullopt;
+
+  /// Moves `pos` from `from` (possibly this queue) to the front under a
+  /// fresh stamp, carrying its evictability along. `pos` stays valid.
+  void MoveToFront(StampedQueue& from, iterator pos) {
+    const bool evictable = from.evictable_.erase(pos->stamp) > 0;
+    pos->stamp = next_stamp_++;
+    entries_.splice(entries_.begin(), from.entries_, pos);
+    if (evictable) evictable_.emplace(pos->stamp, pos->id);
+  }
+
+  void Erase(iterator pos) {
+    evictable_.erase(pos->stamp);
+    entries_.erase(pos);
+  }
+
+  void SetEvictable(iterator pos, bool evictable) {
+    if (evictable) {
+      evictable_.emplace(pos->stamp, pos->id);
+    } else {
+      evictable_.erase(pos->stamp);
+    }
+  }
+
+  [[nodiscard]] bool IsEvictable(iterator pos) const {
+    return evictable_.contains(pos->stamp);
+  }
+
+  /// The evictable member nearest the back, or nullopt.
+  [[nodiscard]] std::optional<ObjectID> Coldest() const {
+    if (evictable_.empty()) return std::nullopt;
+    return evictable_.begin()->second;
+  }
+
+  [[nodiscard]] iterator Back() { return std::prev(entries_.end()); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+ private:
+  std::list<QueueEntry> entries_;                // front = newest arrival
+  det::Map<std::uint64_t, ObjectID> evictable_;  // stamp -> id, evictable members only
+  std::uint64_t next_stamp_ = 0;
+};
+
+/// The coldest evictable entry of `first`, else of `second`.
+[[nodiscard]] std::optional<ObjectID> ColdestOf(const StampedQueue& first,
+                                                const StampedQueue& second) {
+  if (const auto victim = first.Coldest()) return victim;
+  return second.Coldest();
 }
 
+/// What the two-queue policies share: each tracked id maps to the queue
+/// holding it and its position there, so evictability flips and audit
+/// queries go straight to that queue. LRU has one queue and indexes bare
+/// positions: in stores full of pinned primaries, a queue pointer per entry
+/// shows in peak RSS.
+class HOPLITE_DOMAIN_CONFINED MultiQueuePolicy : public EvictionPolicy {
+ public:
+  void SetEvictable(ObjectID object, bool evictable) final {
+    const Slot& slot = index_.at(object);
+    slot.queue->SetEvictable(slot.pos, evictable);
+  }
+
+  [[nodiscard]] std::size_t size() const final { return index_.size(); }
+  [[nodiscard]] bool Contains(ObjectID object) const final { return index_.contains(object); }
+
+  [[nodiscard]] bool IsEvictable(ObjectID object) const final {
+    const auto it = index_.find(object);
+    return it != index_.end() && it->second.queue->IsEvictable(it->second.pos);
+  }
+
+ protected:
+  struct Slot {
+    StampedQueue* queue = nullptr;
+    StampedQueue::iterator pos;
+  };
+
+  det::Map<ObjectID, Slot> index_;
+};
+
 /// Classic LRU. Byte-identical to the list LocalStore used to hard-wire:
-/// inserts and touches go to the MRU front, victims are scanned from the
-/// LRU back.
+/// inserts and touches go to the MRU front, the victim is the evictable
+/// entry nearest the LRU back.
 class HOPLITE_DOMAIN_CONFINED LruPolicy final : public EvictionPolicy {
  public:
   void OnInsert(ObjectID object, std::int64_t bytes) override {
-    const auto [it, inserted] = index_.emplace(object, Queue::iterator{});
+    const auto [it, inserted] = index_.emplace(object, StampedQueue::iterator{});
     HOPLITE_CHECK(inserted) << "LruPolicy: duplicate insert of " << object;
-    lru_.push_front(QueueEntry{object, bytes});
-    it->second = lru_.begin();
+    it->second = lru_.PushFront(object, bytes);
   }
 
-  void OnTouch(ObjectID object) override {
-    auto& pos = index_.at(object);
-    lru_.splice(lru_.begin(), lru_, pos);
-    pos = lru_.begin();
-  }
+  void OnTouch(ObjectID object) override { lru_.MoveToFront(lru_, index_.at(object)); }
 
   void OnRemove(ObjectID object, RemovalCause /*cause*/) override {
     const auto it = index_.find(object);
     HOPLITE_CHECK(it != index_.end()) << "LruPolicy: remove of untracked " << object;
-    lru_.erase(it->second);
+    lru_.Erase(it->second);
     index_.erase(it);
   }
 
-  [[nodiscard]] std::optional<ObjectID> PickVictim(
-      const EvictablePredicate& evictable) const override {
-    return ScanForVictim(lru_, evictable);
+  void SetEvictable(ObjectID object, bool evictable) override {
+    lru_.SetEvictable(index_.at(object), evictable);
   }
 
+  [[nodiscard]] std::optional<ObjectID> PickVictim() const override { return lru_.Coldest(); }
   [[nodiscard]] std::size_t size() const override { return index_.size(); }
-  [[nodiscard]] bool Contains(ObjectID object) const override { return index_.contains(object); }
-  [[nodiscard]] EvictionPolicyKind kind() const override { return EvictionPolicyKind::kLru; }
+
+  [[nodiscard]] bool Contains(ObjectID object) const override {
+    return index_.contains(object);
+  }
+
+  [[nodiscard]] bool IsEvictable(ObjectID object) const override {
+    const auto it = index_.find(object);
+    return it != index_.end() && lru_.IsEvictable(it->second);
+  }
 
  private:
-  Queue lru_;  // front = MRU, back = LRU
-  det::Map<ObjectID, Queue::iterator> index_;
+  StampedQueue lru_;  // front = MRU, back = LRU
+  det::Map<ObjectID, StampedQueue::iterator> index_;
 };
 
 /// 2Q (after Johnson & Shasha). New entries enter a FIFO probationary
@@ -75,7 +170,7 @@ class HOPLITE_DOMAIN_CONFINED LruPolicy final : public EvictionPolicy {
 /// independent ops spread across nodes, a second access IS the reuse
 /// proof, and deferring promotion until after an eviction forfeits a hit
 /// per hot object for nothing.
-class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public EvictionPolicy {
+class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public MultiQueuePolicy {
  public:
   // A ghost is an id, not a payload: its budget is denominated in the bytes
   // of the objects it remembers, so 2x capacity of breadcrumbs costs almost
@@ -92,25 +187,20 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public EvictionPolicy {
       ghost_bytes_ -= ghost->second->bytes;
       ghost_.erase(ghost->second);
       ghost_index_.erase(ghost);
-      am_.push_front(QueueEntry{object, bytes});
-      it->second = Slot{Segment::kMain, am_.begin()};
+      it->second = Slot{&am_, am_.PushFront(object, bytes)};
     } else {
-      a1in_.push_front(QueueEntry{object, bytes});
       a1in_bytes_ += bytes;
-      it->second = Slot{Segment::kProbation, a1in_.begin()};
+      it->second = Slot{&a1in_, a1in_.PushFront(object, bytes)};
     }
   }
 
   void OnTouch(ObjectID object) override {
-    auto& slot = index_.at(object);
-    if (slot.segment == Segment::kProbation) {
-      a1in_bytes_ -= slot.pos->bytes;
-      am_.splice(am_.begin(), a1in_, slot.pos);
-      slot = Slot{Segment::kMain, am_.begin()};
-      return;
-    }
-    am_.splice(am_.begin(), am_, slot.pos);
-    slot.pos = am_.begin();
+    // A1in hits promote; Am hits refresh. Either way the entry goes to the
+    // MRU end of Am.
+    Slot& slot = index_.at(object);
+    if (slot.queue == &a1in_) a1in_bytes_ -= slot.pos->bytes;
+    am_.MoveToFront(*slot.queue, slot.pos);
+    slot.queue = &am_;
   }
 
   void OnRemove(ObjectID object, RemovalCause cause) override {
@@ -118,12 +208,12 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public EvictionPolicy {
     HOPLITE_CHECK(it != index_.end()) << "TwoQPolicy: remove of untracked " << object;
     const Slot slot = it->second;
     index_.erase(it);
-    if (slot.segment == Segment::kProbation) {
+    if (slot.queue == &a1in_) {
       a1in_bytes_ -= slot.pos->bytes;
       // Only capacity evictions earn a ghost: a deleted object must not be
       // mistaken for a reused one when its id is recreated later.
       if (cause == RemovalCause::kEvicted) {
-        ghost_.push_front(*slot.pos);
+        ghost_.push_front(GhostEntry{slot.pos->id, slot.pos->bytes});
         ghost_bytes_ += slot.pos->bytes;
         ghost_index_[slot.pos->id] = ghost_.begin();
         while (ghost_bytes_ > ghost_budget_bytes_ && !ghost_.empty()) {
@@ -132,52 +222,33 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public EvictionPolicy {
           ghost_.pop_back();
         }
       }
-      a1in_.erase(slot.pos);
-    } else {
-      am_.erase(slot.pos);
     }
+    slot.queue->Erase(slot.pos);
   }
 
-  [[nodiscard]] std::optional<ObjectID> PickVictim(
-      const EvictablePredicate& evictable) const override {
+  [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
     // Over the probationary target: drain A1in oldest-first. Otherwise the
     // main queue pays; each side falls back to the other so a pinned-heavy
     // queue never wedges the store.
-    if (a1in_bytes_ > a1in_target_bytes_) {
-      if (const auto victim = ScanForVictim(a1in_, evictable)) return victim;
-      return ScanForVictim(am_, evictable);
-    }
-    if (const auto victim = ScanForVictim(am_, evictable)) return victim;
-    return ScanForVictim(a1in_, evictable);
+    return a1in_bytes_ > a1in_target_bytes_ ? ColdestOf(a1in_, am_) : ColdestOf(am_, a1in_);
   }
 
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
-  [[nodiscard]] bool Contains(ObjectID object) const override { return index_.contains(object); }
-  [[nodiscard]] EvictionPolicyKind kind() const override { return EvictionPolicyKind::kTwoQ; }
-
  private:
-  enum class Segment { kProbation, kMain };
-  struct Slot {
-    Segment segment = Segment::kProbation;
-    Queue::iterator pos;
-  };
-
   const std::int64_t a1in_target_bytes_;
   const std::int64_t ghost_budget_bytes_;
-  Queue a1in_;   // FIFO: front = newest, back = next out
-  Queue am_;     // LRU: front = MRU
-  Queue ghost_;  // A1out breadcrumbs of capacity-evicted probationers
+  StampedQueue a1in_;  // FIFO: front = newest, back = next out
+  StampedQueue am_;    // LRU: front = MRU
+  GhostQueue ghost_;   // A1out breadcrumbs of capacity-evicted probationers
   std::int64_t a1in_bytes_ = 0;
   std::int64_t ghost_bytes_ = 0;
-  det::Map<ObjectID, Slot> index_;
-  det::Map<ObjectID, Queue::iterator> ghost_index_;
+  det::Map<ObjectID, GhostQueue::iterator> ghost_index_;
 };
 
 /// Segmented LRU. Entries start in a probationary segment; a second use
 /// promotes into the protected segment (capped at 4/5 of capacity, demoting
 /// its own LRU tail back to probation). Victims come from probation first,
 /// so single-use tail objects cannot flush the proven hot set.
-class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public EvictionPolicy {
+class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public MultiQueuePolicy {
  public:
   explicit SegmentedLruPolicy(std::int64_t capacity_bytes)
       : protected_target_bytes_(capacity_bytes / 5 * 4) {}
@@ -185,30 +256,26 @@ class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public EvictionPolicy {
   void OnInsert(ObjectID object, std::int64_t bytes) override {
     const auto [it, inserted] = index_.emplace(object, Slot{});
     HOPLITE_CHECK(inserted) << "SegmentedLruPolicy: duplicate insert of " << object;
-    probation_.push_front(QueueEntry{object, bytes});
-    it->second = Slot{Segment::kProbation, probation_.begin()};
+    it->second = Slot{&probation_, probation_.PushFront(object, bytes)};
   }
 
   void OnTouch(ObjectID object) override {
-    auto& slot = index_.at(object);
-    if (slot.segment == Segment::kProtected) {
-      protected_.splice(protected_.begin(), protected_, slot.pos);
-      slot.pos = protected_.begin();
+    Slot& slot = index_.at(object);
+    if (slot.queue == &protected_) {
+      protected_.MoveToFront(protected_, slot.pos);
       return;
     }
     // Promote, then demote the protected tail until the segment fits again:
     // demotion re-enters probation at the MRU end, so a demoted-but-hot
     // entry gets a full probation lifetime to earn its way back.
-    protected_.splice(protected_.begin(), probation_, slot.pos);
-    slot.pos = protected_.begin();
-    slot.segment = Segment::kProtected;
+    protected_.MoveToFront(probation_, slot.pos);
+    slot.queue = &protected_;
     protected_bytes_ += slot.pos->bytes;
     while (protected_bytes_ > protected_target_bytes_ && protected_.size() > 1) {
-      const auto tail = std::prev(protected_.end());
+      const auto tail = protected_.Back();
       protected_bytes_ -= tail->bytes;
-      auto& demoted = index_.at(tail->id);
-      probation_.splice(probation_.begin(), protected_, tail);
-      demoted = Slot{Segment::kProbation, probation_.begin()};
+      probation_.MoveToFront(protected_, tail);
+      index_.at(tail->id).queue = &probation_;
     }
   }
 
@@ -217,38 +284,19 @@ class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public EvictionPolicy {
     HOPLITE_CHECK(it != index_.end()) << "SegmentedLruPolicy: remove of untracked " << object;
     const Slot slot = it->second;
     index_.erase(it);
-    if (slot.segment == Segment::kProtected) {
-      protected_bytes_ -= slot.pos->bytes;
-      protected_.erase(slot.pos);
-    } else {
-      probation_.erase(slot.pos);
-    }
+    if (slot.queue == &protected_) protected_bytes_ -= slot.pos->bytes;
+    slot.queue->Erase(slot.pos);
   }
 
-  [[nodiscard]] std::optional<ObjectID> PickVictim(
-      const EvictablePredicate& evictable) const override {
-    if (const auto victim = ScanForVictim(probation_, evictable)) return victim;
-    return ScanForVictim(protected_, evictable);
-  }
-
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
-  [[nodiscard]] bool Contains(ObjectID object) const override { return index_.contains(object); }
-  [[nodiscard]] EvictionPolicyKind kind() const override {
-    return EvictionPolicyKind::kSegmentedLru;
+  [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
+    return ColdestOf(probation_, protected_);
   }
 
  private:
-  enum class Segment { kProbation, kProtected };
-  struct Slot {
-    Segment segment = Segment::kProbation;
-    Queue::iterator pos;
-  };
-
   const std::int64_t protected_target_bytes_;
-  Queue probation_;  // front = MRU
-  Queue protected_;  // front = MRU
+  StampedQueue probation_;  // front = MRU
+  StampedQueue protected_;  // front = MRU
   std::int64_t protected_bytes_ = 0;
-  det::Map<ObjectID, Slot> index_;
 };
 
 /// ARC (after Megiddo & Modha). Two resident lists — T1 (seen once
@@ -261,7 +309,7 @@ class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public EvictionPolicy {
 /// request-carried REPLACE hint: our PickVictim cannot know which request
 /// triggered the eviction, so "T1 over target pays first" is the whole
 /// rule — same fixed point, one less plumbing hole.
-class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public EvictionPolicy {
+class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public MultiQueuePolicy {
  public:
   explicit ArcPolicy(std::int64_t capacity_bytes)
       : capacity_bytes_(capacity_bytes), ghost_budget_bytes_(capacity_bytes) {}
@@ -272,36 +320,30 @@ class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public EvictionPolicy {
     if (EraseGhost(b1_, b1_index_, b1_bytes_, object)) {
       // B1 hit: recency was under-provisioned; learn toward T1.
       p_ = std::min(capacity_bytes_, p_ + bytes);
-      t2_.push_front(QueueEntry{object, bytes});
       t2_bytes_ += bytes;
-      it->second = Slot{Segment::kFrequent, t2_.begin()};
+      it->second = Slot{&t2_, t2_.PushFront(object, bytes)};
       return;
     }
     if (EraseGhost(b2_, b2_index_, b2_bytes_, object)) {
       // B2 hit: frequency was under-provisioned; learn toward T2.
       p_ = std::max<std::int64_t>(0, p_ - bytes);
-      t2_.push_front(QueueEntry{object, bytes});
       t2_bytes_ += bytes;
-      it->second = Slot{Segment::kFrequent, t2_.begin()};
+      it->second = Slot{&t2_, t2_.PushFront(object, bytes)};
       return;
     }
-    t1_.push_front(QueueEntry{object, bytes});
     t1_bytes_ += bytes;
-    it->second = Slot{Segment::kRecent, t1_.begin()};
+    it->second = Slot{&t1_, t1_.PushFront(object, bytes)};
   }
 
   void OnTouch(ObjectID object) override {
-    auto& slot = index_.at(object);
-    if (slot.segment == Segment::kRecent) {
+    Slot& slot = index_.at(object);
+    if (slot.queue == &t1_) {
       // Second use while resident: proven reuse, graduate to T2.
       t1_bytes_ -= slot.pos->bytes;
       t2_bytes_ += slot.pos->bytes;
-      t2_.splice(t2_.begin(), t1_, slot.pos);
-      slot = Slot{Segment::kFrequent, t2_.begin()};
-      return;
     }
-    t2_.splice(t2_.begin(), t2_, slot.pos);
-    slot.pos = t2_.begin();
+    t2_.MoveToFront(*slot.queue, slot.pos);
+    slot.queue = &t2_;
   }
 
   void OnRemove(ObjectID object, RemovalCause cause) override {
@@ -309,15 +351,15 @@ class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public EvictionPolicy {
     HOPLITE_CHECK(it != index_.end()) << "ArcPolicy: remove of untracked " << object;
     const Slot slot = it->second;
     index_.erase(it);
-    const bool recent = slot.segment == Segment::kRecent;
+    const bool recent = slot.queue == &t1_;
     (recent ? t1_bytes_ : t2_bytes_) -= slot.pos->bytes;
     // Only capacity evictions leave breadcrumbs: a Delete'd id re-created
     // later is a fresh object, not evidence the split was wrong.
     if (cause == RemovalCause::kEvicted) {
-      Queue& ghost = recent ? b1_ : b2_;
+      GhostQueue& ghost = recent ? b1_ : b2_;
       auto& ghost_index = recent ? b1_index_ : b2_index_;
       auto& ghost_bytes = recent ? b1_bytes_ : b2_bytes_;
-      ghost.push_front(*slot.pos);
+      ghost.push_front(GhostEntry{slot.pos->id, slot.pos->bytes});
       ghost_bytes += slot.pos->bytes;
       ghost_index[slot.pos->id] = ghost.begin();
       while (ghost_bytes > ghost_budget_bytes_ && !ghost.empty()) {
@@ -326,33 +368,18 @@ class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public EvictionPolicy {
         ghost.pop_back();
       }
     }
-    (recent ? t1_ : t2_).erase(slot.pos);
+    slot.queue->Erase(slot.pos);
   }
 
-  [[nodiscard]] std::optional<ObjectID> PickVictim(
-      const EvictablePredicate& evictable) const override {
+  [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
     // T1 over its adaptive target pays first; each side falls back to the
     // other so a pinned-heavy list never wedges the store.
-    if (t1_bytes_ > p_) {
-      if (const auto victim = ScanForVictim(t1_, evictable)) return victim;
-      return ScanForVictim(t2_, evictable);
-    }
-    if (const auto victim = ScanForVictim(t2_, evictable)) return victim;
-    return ScanForVictim(t1_, evictable);
+    return t1_bytes_ > p_ ? ColdestOf(t1_, t2_) : ColdestOf(t2_, t1_);
   }
 
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
-  [[nodiscard]] bool Contains(ObjectID object) const override { return index_.contains(object); }
-  [[nodiscard]] EvictionPolicyKind kind() const override { return EvictionPolicyKind::kArc; }
-
  private:
-  enum class Segment { kRecent, kFrequent };
-  struct Slot {
-    Segment segment = Segment::kRecent;
-    Queue::iterator pos;
-  };
-
-  static bool EraseGhost(Queue& ghost, det::Map<ObjectID, Queue::iterator>& ghost_index,
+  static bool EraseGhost(GhostQueue& ghost,
+                         det::Map<ObjectID, GhostQueue::iterator>& ghost_index,
                          std::int64_t& ghost_bytes, ObjectID object) {
     const auto it = ghost_index.find(object);
     if (it == ghost_index.end()) return false;
@@ -365,17 +392,16 @@ class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public EvictionPolicy {
   const std::int64_t capacity_bytes_;
   const std::int64_t ghost_budget_bytes_;
   std::int64_t p_ = 0;  ///< adaptive byte target for T1 (0 = all-frequency)
-  Queue t1_;            // recency list, front = MRU
-  Queue t2_;            // frequency list, front = MRU
-  Queue b1_;            // ghosts of T1 capacity evictions
-  Queue b2_;            // ghosts of T2 capacity evictions
+  StampedQueue t1_;     // recency list, front = MRU
+  StampedQueue t2_;     // frequency list, front = MRU
+  GhostQueue b1_;       // ghosts of T1 capacity evictions
+  GhostQueue b2_;       // ghosts of T2 capacity evictions
   std::int64_t t1_bytes_ = 0;
   std::int64_t t2_bytes_ = 0;
   std::int64_t b1_bytes_ = 0;
   std::int64_t b2_bytes_ = 0;
-  det::Map<ObjectID, Slot> index_;
-  det::Map<ObjectID, Queue::iterator> b1_index_;
-  det::Map<ObjectID, Queue::iterator> b2_index_;
+  det::Map<ObjectID, GhostQueue::iterator> b1_index_;
+  det::Map<ObjectID, GhostQueue::iterator> b2_index_;
 };
 
 }  // namespace

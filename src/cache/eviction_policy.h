@@ -5,32 +5,35 @@
 // (`CacheConfig::policy`) without touching the store's byte accounting or
 // pin semantics. The store stays in charge of *whether* an entry may be
 // evicted (complete, unreferenced, not a primary) and *when* eviction runs
-// (over capacity); the policy only answers *which* candidate goes first.
+// (over capacity); the policy only answers *which* evictable entry goes first.
 //
 // Contract:
 //   * OnInsert / OnRemove bracket an entry's lifetime in the store; every
-//     tracked entry appears in exactly one policy queue.
-//   * OnTouch records a use (Get served locally, chunk appended, entry
-//     completed) and may reorder or promote the entry.
-//   * PickVictim walks candidates in policy order and returns the first one
-//     the store's predicate accepts, or nullopt when nothing is evictable.
-//     It never mutates policy state: the store confirms the eviction by
-//     calling OnRemove(victim, kEvicted).
+//     tracked entry, evictable or not, appears in exactly one policy queue,
+//     so segment byte budgets count pinned primaries too.
+//   * Entries start non-evictable. The store reports each flip of an entry's
+//     evictability through SetEvictable (on completion, Ref and Unref), and
+//     each queue keeps an exact order over its evictable members.
+//   * OnTouch records a use (a Get served from the local copy) and may
+//     reorder or promote the entry.
+//   * PickVictim returns the coldest evictable entry of the queue the
+//     policy bills, falling back to its other queue, or nullopt when nothing
+//     is evictable: one ordered-map read per queue consulted, however many
+//     pinned entries sit at the cold end. It never mutates policy state: the
+//     store confirms the eviction by calling OnRemove(victim, kEvicted).
 //
 // Every policy is deterministic by construction: ordering state lives in
 // std::list queues (order fixed by the call sequence) indexed by
 // det::Map — no hashing, no ambient state, no clocks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 
 #include "cache/cache_config.h"
 #include "common/annotations.h"
-#include "common/det.h"
 #include "common/ids.h"
 
 namespace hoplite::cache {
@@ -47,18 +50,23 @@ enum class RemovalCause {
 /// that owns it: all calls arrive from the store's own domain.
 class HOPLITE_DOMAIN_CONFINED EvictionPolicy {
  public:
-  /// Filter supplied by the store: true if the entry may be evicted now.
-  using EvictablePredicate = std::function<bool(ObjectID)>;
-
+  EvictionPolicy() = default;
+  // Policies index their own queues by address, so a copy would point into
+  // the original.
+  EvictionPolicy(const EvictionPolicy&) = delete;
+  EvictionPolicy& operator=(const EvictionPolicy&) = delete;
   virtual ~EvictionPolicy() = default;
 
+  /// Starts tracking `object`, not evictable.
   virtual void OnInsert(ObjectID object, std::int64_t bytes) = 0;
   virtual void OnTouch(ObjectID object) = 0;
   virtual void OnRemove(ObjectID object, RemovalCause cause) = 0;
 
-  /// First candidate in policy order accepted by `evictable`, or nullopt.
-  [[nodiscard]] virtual std::optional<ObjectID> PickVictim(
-      const EvictablePredicate& evictable) const = 0;
+  /// Records whether the store may evict `object` now. Idempotent.
+  virtual void SetEvictable(ObjectID object, bool evictable) = 0;
+
+  /// Coldest evictable entry in policy order, or nullopt.
+  [[nodiscard]] virtual std::optional<ObjectID> PickVictim() const = 0;
 
   /// Number of tracked entries (store audits check it matches the table).
   [[nodiscard]] virtual std::size_t size() const = 0;
@@ -66,7 +74,8 @@ class HOPLITE_DOMAIN_CONFINED EvictionPolicy {
   /// True if `object` is currently tracked (store audits).
   [[nodiscard]] virtual bool Contains(ObjectID object) const = 0;
 
-  [[nodiscard]] virtual EvictionPolicyKind kind() const = 0;
+  /// True if `object` is tracked and marked evictable (store audits).
+  [[nodiscard]] virtual bool IsEvictable(ObjectID object) const = 0;
 };
 
 /// Constructs the policy selected by `kind`. `capacity_bytes` sizes the

@@ -54,6 +54,9 @@ void LocalStore::MarkComplete(ObjectID object, Buffer payload) {
         << "payload size mismatch for " << object;
     entry.state.payload = std::move(payload);
     entry.state.complete = true;
+    // Before any subscriber fires: one may create an entry in this store,
+    // and the eviction that triggers must see this entry as a candidate.
+    ReportEvictability(object, entry);
   }
   AdvanceChunks(object, EntryOf(object).state.layout.num_chunks());
   // The object may have been removed by a chunk subscriber; re-find it.
@@ -63,7 +66,9 @@ void LocalStore::MarkComplete(ObjectID object, Buffer payload) {
   subs.reserve(it->second.completion_subs.size());
   for (const auto& [token, cb] : it->second.completion_subs) subs.push_back(cb);
   it->second.completion_subs.clear();
-  const Buffer& buf = it->second.state.payload;
+  // A copy of the handle, not a reference into the entry: a subscriber may
+  // evict or remove this entry before the next one runs.
+  const Buffer buf = it->second.state.payload;
   for (const auto& cb : subs) cb(buf);
   // Completion can turn this entry evictable; re-check capacity.
   MaybeEvict();
@@ -145,14 +150,24 @@ void LocalStore::Unsubscribe(ObjectID object, std::uint64_t token) {
   it->second.completion_subs.erase(token);
 }
 
-void LocalStore::Ref(ObjectID object) { MutableEntry(object).refs += 1; }
+void LocalStore::Ref(ObjectID object) {
+  Entry& entry = MutableEntry(object);
+  entry.refs += 1;
+  ReportEvictability(object, entry);
+}
 
 void LocalStore::Unref(ObjectID object) {
   auto it = entries_.find(object);
   if (it == entries_.end()) return;  // removed while referenced (Delete wins)
   HOPLITE_CHECK_GT(it->second.refs, 0);
   it->second.refs -= 1;
+  ReportEvictability(object, it->second);
   MaybeEvict();
+}
+
+void LocalStore::ReportEvictability(ObjectID object, const Entry& e) {
+  // An unbounded store never picks a victim, so its policy needs no order.
+  if (capacity_bytes_ > 0) policy_->SetEvictable(object, Evictable(e));
 }
 
 void LocalStore::Touch(ObjectID object) {
@@ -182,6 +197,8 @@ void LocalStore::AuditAccounting() const {
           << object << " kept completion subscribers past completion";
     }
     HOPLITE_AUDIT(policy_->Contains(object)) << object << " resident but untracked by policy";
+    HOPLITE_AUDIT(policy_->IsEvictable(object) == (capacity_bytes_ > 0 && Evictable(e)))
+        << object << " evictability differs from the policy's victim order";
     for (const auto& sub : e.chunk_subs) HOPLITE_AUDIT(sub.first < e.next_token);
     for (const auto& sub : e.completion_subs) HOPLITE_AUDIT(sub.first < e.next_token);
   }
@@ -195,16 +212,12 @@ void LocalStore::AuditAccounting() const {
 void LocalStore::MaybeEvict() {
   if (capacity_bytes_ <= 0) return;
   while (used_bytes_ > capacity_bytes_) {
-    // The policy proposes candidates in its order; the store accepts the
-    // first one that is actually evictable. Stop if nothing is.
-    const auto victim = policy_->PickVictim([this](ObjectID candidate) {
-      auto entry_it = entries_.find(candidate);
-      HOPLITE_CHECK(entry_it != entries_.end());
-      return Evictable(entry_it->second);
-    });
+    const auto victim = policy_->PickVictim();
     if (!victim.has_value()) return;  // over capacity but nothing evictable
     auto entry_it = entries_.find(*victim);
     HOPLITE_CHECK(entry_it != entries_.end());
+    HOPLITE_CHECK(Evictable(entry_it->second))
+        << "policy picked non-evictable " << *victim << " on node " << node_;
     ++evictions_;
     EraseEntry(entry_it, cache::RemovalCause::kEvicted);
   }

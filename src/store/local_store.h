@@ -114,13 +114,11 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
-  [[nodiscard]] const cache::EvictionPolicy& policy() const noexcept { return *policy_; }
-
   /// Bytes currently held (partial copies count their full reserved size).
   [[nodiscard]] std::int64_t used_bytes() const noexcept { return used_bytes_; }
   /// High-water mark of used_bytes over the store's lifetime. Can exceed
   /// capacity_bytes: pinned primaries and transfer-reffed copies are not
-  /// evictable, so a burst of Puts overshoots before LRU relief arrives.
+  /// evictable, so a burst of Puts overshoots before eviction relief arrives.
   [[nodiscard]] std::int64_t peak_used_bytes() const noexcept { return peak_used_bytes_; }
   [[nodiscard]] std::int64_t capacity_bytes() const noexcept { return capacity_bytes_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
@@ -130,8 +128,9 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
 
   /// Full byte-accounting walk (audit builds; also directly callable from
   /// tests): used_bytes == sum of resident entry sizes, non-negative ref
-  /// counts, entries/lru mutually consistent, complete entries with full
-  /// chunk prefixes and attached payloads.
+  /// counts, every entry tracked by the eviction policy and marked
+  /// evictable there exactly when it is (never, in an unbounded store),
+  /// complete entries with full chunk prefixes and attached payloads.
   void AuditAccounting() const;
 
  private:
@@ -150,6 +149,9 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   [[nodiscard]] bool Evictable(const Entry& e) const noexcept {
     return e.state.complete && e.refs == 0 && e.state.kind != CopyKind::kPrimary;
   }
+  /// Passes Evictable(e) to the policy. Called wherever it can flip:
+  /// completion, Ref and Unref (an entry's kind is fixed at CreatePartial).
+  void ReportEvictability(ObjectID object, const Entry& e);
   void MaybeEvict();
   void EraseEntry(std::unordered_map<ObjectID, Entry>::iterator it,
                   cache::RemovalCause cause);

@@ -15,31 +15,43 @@ const ObjectID kA = ObjectID::FromName("a");
 const ObjectID kB = ObjectID::FromName("b");
 const ObjectID kC = ObjectID::FromName("c");
 
-const EvictionPolicy::EvictablePredicate kAny = [](ObjectID) { return true; };
+/// Inserts an entry the store has already marked evictable (complete,
+/// unreferenced, not a primary).
+void InsertEvictable(EvictionPolicy& policy, ObjectID object, std::int64_t bytes) {
+  policy.OnInsert(object, bytes);
+  policy.SetEvictable(object, true);
+}
 
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kLru, KB(4));
-  policy->OnInsert(kA, KB(1));
-  policy->OnInsert(kB, KB(1));
-  policy->OnInsert(kC, KB(1));
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  InsertEvictable(*policy, kA, KB(1));
+  InsertEvictable(*policy, kB, KB(1));
+  InsertEvictable(*policy, kC, KB(1));
+  EXPECT_EQ(policy->PickVictim(), kA);
 
   policy->OnTouch(kA);  // a is now the most recent; b becomes the tail
-  EXPECT_EQ(policy->PickVictim(kAny), kB);
+  EXPECT_EQ(policy->PickVictim(), kB);
 
   policy->OnRemove(kB, RemovalCause::kErased);
-  EXPECT_EQ(policy->PickVictim(kAny), kC);
+  EXPECT_EQ(policy->PickVictim(), kC);
   EXPECT_EQ(policy->size(), 2u);
   EXPECT_FALSE(policy->Contains(kB));
 }
 
-TEST(LruPolicyTest, VictimScanHonorsThePredicate) {
+TEST(LruPolicyTest, NonEvictableTailIsSkipped) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kLru, KB(4));
-  policy->OnInsert(kA, KB(1));
-  policy->OnInsert(kB, KB(1));
-  // The LRU tail is pinned: the scan must pass over it, not give up.
-  EXPECT_EQ(policy->PickVictim([](ObjectID object) { return object != kA; }), kB);
-  EXPECT_EQ(policy->PickVictim([](ObjectID) { return false; }), std::nullopt);
+  InsertEvictable(*policy, kA, KB(1));
+  InsertEvictable(*policy, kB, KB(1));
+  // The LRU tail is pinned: the pick must pass over it, not give up.
+  policy->SetEvictable(kA, false);
+  EXPECT_FALSE(policy->IsEvictable(kA));
+  EXPECT_TRUE(policy->IsEvictable(kB));
+  EXPECT_EQ(policy->PickVictim(), kB);
+  policy->SetEvictable(kB, false);
+  EXPECT_EQ(policy->PickVictim(), std::nullopt);
+  // Unpinned again, the tail is the victim once more.
+  policy->SetEvictable(kA, true);
+  EXPECT_EQ(policy->PickVictim(), kA);
 }
 
 TEST(TwoQPolicyTest, GhostHitPromotesAndScansSpareTheMainQueue) {
@@ -47,78 +59,78 @@ TEST(TwoQPolicyTest, GhostHitPromotesAndScansSpareTheMainQueue) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kTwoQ, 1000);
 
   // First life of `a`: probationary, evicted, leaves a ghost.
-  policy->OnInsert(kA, 200);
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  InsertEvictable(*policy, kA, 200);
+  EXPECT_EQ(policy->PickVictim(), kA);
   policy->OnRemove(kA, RemovalCause::kEvicted);
 
   // Second life: the ghost proves reuse -> straight into the main queue.
-  policy->OnInsert(kA, 200);
+  InsertEvictable(*policy, kA, 200);
 
   // A one-touch scan overflows A1in; victims must come from the scan
   // entries (FIFO oldest first), never from the proven-hot main queue.
-  policy->OnInsert(kB, 200);
-  policy->OnInsert(kC, 200);
-  EXPECT_EQ(policy->PickVictim(kAny), kB);
+  InsertEvictable(*policy, kB, 200);
+  InsertEvictable(*policy, kC, 200);
+  EXPECT_EQ(policy->PickVictim(), kB);
   policy->OnTouch(kB);  // a second access proves reuse: b escapes A1in into Am
   // Promotion brought A1in back under target, so the 2Q rule bills Am —
   // whose LRU tail is the ghost-promoted a, not the freshly touched b.
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  EXPECT_EQ(policy->PickVictim(), kA);
 }
 
 TEST(TwoQPolicyTest, ErasedEntriesLeaveNoGhost) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kTwoQ, 1000);
-  policy->OnInsert(kA, 200);
+  InsertEvictable(*policy, kA, 200);
   policy->OnRemove(kA, RemovalCause::kErased);  // deleted, not evicted
 
   // A recreated id must start probationary again, not inherit hotness.
-  policy->OnInsert(kA, 200);
-  policy->OnInsert(kB, 200);
-  EXPECT_EQ(policy->PickVictim(kAny), kA);  // FIFO: a is the older probationer
+  InsertEvictable(*policy, kA, 200);
+  InsertEvictable(*policy, kB, 200);
+  EXPECT_EQ(policy->PickVictim(), kA);  // FIFO: a is the older probationer
 }
 
 TEST(SegmentedLruPolicyTest, VictimsComeFromProbationFirst) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kSegmentedLru, 1000);
-  policy->OnInsert(kA, 100);
-  policy->OnInsert(kB, 100);
+  InsertEvictable(*policy, kA, 100);
+  InsertEvictable(*policy, kB, 100);
   policy->OnTouch(kA);  // a earns the protected segment
 
   // b is older than nothing in protection; the untouched probationer goes.
-  EXPECT_EQ(policy->PickVictim(kAny), kB);
+  EXPECT_EQ(policy->PickVictim(), kB);
   policy->OnRemove(kB, RemovalCause::kEvicted);
 
-  // Only protected entries left: the scan falls back to them.
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  // Only protected entries left: the pick falls back to them.
+  EXPECT_EQ(policy->PickVictim(), kA);
 }
 
 TEST(SegmentedLruPolicyTest, ProtectedOverflowDemotesItsTail) {
   // capacity 1000 -> protected target 800.
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kSegmentedLru, 1000);
-  policy->OnInsert(kA, 300);
-  policy->OnInsert(kB, 300);
-  policy->OnInsert(kC, 300);
+  InsertEvictable(*policy, kA, 300);
+  InsertEvictable(*policy, kB, 300);
+  InsertEvictable(*policy, kC, 300);
   policy->OnTouch(kA);
   policy->OnTouch(kB);
   policy->OnTouch(kC);  // 900 bytes protected -> the oldest (a) is demoted
 
   // a re-entered probation; c and b stay protected, so a is the victim.
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  EXPECT_EQ(policy->PickVictim(), kA);
   policy->OnRemove(kA, RemovalCause::kEvicted);
-  EXPECT_EQ(policy->PickVictim(kAny), kB);
+  EXPECT_EQ(policy->PickVictim(), kB);
 }
 
 TEST(ArcPolicyTest, TouchGraduatesToFrequencyAndSparesIt) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  policy->OnInsert(kA, 200);
-  policy->OnInsert(kB, 200);
+  InsertEvictable(*policy, kA, 200);
+  InsertEvictable(*policy, kB, 200);
   policy->OnTouch(kA);  // a proves reuse: T1 -> T2
 
   // p starts at 0 (all-frequency): T1 is over target, so the untouched
   // recency entry pays, never the proven-frequent one.
-  EXPECT_EQ(policy->PickVictim(kAny), kB);
+  EXPECT_EQ(policy->PickVictim(), kB);
   policy->OnRemove(kB, RemovalCause::kEvicted);
 
-  // Only T2 left: the scan falls back to it.
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  // Only T2 left: the pick falls back to it.
+  EXPECT_EQ(policy->PickVictim(), kA);
   EXPECT_EQ(policy->size(), 1u);
 }
 
@@ -126,38 +138,40 @@ TEST(ArcPolicyTest, GhostHitAdaptsTheSplit) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
 
   // First life of `a`: evicted from T1, leaves a B1 ghost.
-  policy->OnInsert(kA, 400);
+  InsertEvictable(*policy, kA, 400);
   policy->OnRemove(kA, RemovalCause::kEvicted);
 
   // Second life: the B1 hit grows p to 400 and lands `a` in T2 directly.
-  policy->OnInsert(kA, 400);
+  InsertEvictable(*policy, kA, 400);
   // A fresh recency entry under the grown target: T1 (300) <= p (400), so
-  // the victim scan starts at T2 — the ghost-promoted `a` goes first even
+  // the victim pick starts at T2 — the ghost-promoted `a` goes first even
   // though `b` was inserted later.
-  policy->OnInsert(kB, 300);
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  InsertEvictable(*policy, kB, 300);
+  EXPECT_EQ(policy->PickVictim(), kA);
 }
 
 TEST(ArcPolicyTest, ErasedEntriesLeaveNoGhost) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  policy->OnInsert(kA, 400);
+  InsertEvictable(*policy, kA, 400);
   policy->OnRemove(kA, RemovalCause::kErased);  // deleted, not evicted
 
   // A recreated id starts in T1 again (no B1 breadcrumb, p unchanged at 0),
   // so it is the first victim ahead of nothing in T2.
-  policy->OnInsert(kA, 400);
-  policy->OnInsert(kB, 400);
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
+  InsertEvictable(*policy, kA, 400);
+  InsertEvictable(*policy, kB, 400);
+  EXPECT_EQ(policy->PickVictim(), kA);
 }
 
-TEST(ArcPolicyTest, VictimScanHonorsThePredicate) {
+TEST(ArcPolicyTest, NonEvictableTailIsSkipped) {
   const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  policy->OnInsert(kA, 200);
-  policy->OnInsert(kB, 200);
+  InsertEvictable(*policy, kA, 200);
+  InsertEvictable(*policy, kB, 200);
   policy->OnTouch(kB);  // b in T2, a in T1
   // The natural victim (a, T1 over target) is pinned: fall through to T2.
-  EXPECT_EQ(policy->PickVictim([](ObjectID object) { return object != kA; }), kB);
-  EXPECT_EQ(policy->PickVictim([](ObjectID) { return false; }), std::nullopt);
+  policy->SetEvictable(kA, false);
+  EXPECT_EQ(policy->PickVictim(), kB);
+  policy->SetEvictable(kB, false);
+  EXPECT_EQ(policy->PickVictim(), std::nullopt);
 }
 
 }  // namespace

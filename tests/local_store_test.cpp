@@ -156,6 +156,32 @@ TEST(LocalStoreTest, UnrefAfterRemoveIsSafe) {
   EXPECT_FALSE(store.Contains(kObj));
 }
 
+TEST(LocalStoreTest, CompletionSubscriberMayEvictTheEntry) {
+  // A 60 B replica with two completion subscribers in a 100 B store. The
+  // first creates a 60 B primary, which evicts the replica it was told
+  // about: complete and unreferenced, it is a candidate from the moment it
+  // completes. The second runs after that eviction and must still be
+  // handed the full payload.
+  LocalStore store(0, /*capacity_bytes=*/100);
+  const ObjectID a = ObjectID::FromName("a");
+  const ObjectID b = ObjectID::FromName("b");
+  store.CreatePartial(a, 60, CopyKind::kReplica, MB(4));
+  store.OnCompletion(a, [&](const Buffer&) {
+    store.CreatePartial(b, 60, CopyKind::kPrimary, MB(4));
+  });
+  std::int64_t seen = -1;
+  bool resident_for_second = true;
+  store.OnCompletion(a, [&](const Buffer& payload) {
+    resident_for_second = store.Contains(a);
+    seen = payload.size();
+  });
+  store.MarkComplete(a, Buffer::OfSize(60));
+  EXPECT_FALSE(resident_for_second);
+  EXPECT_EQ(seen, 60);
+  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_TRUE(store.Contains(b));
+}
+
 TEST(LocalStoreTest, ListObjects) {
   LocalStore store(0);
   store.CreatePartial(kObj, 1, CopyKind::kPrimary, MB(4));
