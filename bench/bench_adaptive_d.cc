@@ -22,7 +22,7 @@ double ReduceWith(int nodes, std::int64_t bytes, int degree /* 0 = adaptive */,
   options.directory.inline_threshold = 1;  // force the tree path for all sizes
   core::HopliteCluster cluster(options);
   const auto ready = std::vector<SimTime>(static_cast<std::size_t>(nodes), 0);
-  return HopliteReduce(cluster, bytes, ready);
+  return FinishCollective(cluster, StartHopliteCollective("reduce", cluster, bytes, ready));
 }
 
 std::vector<Row> Run(const RunOptions& opt) {

@@ -88,7 +88,8 @@ std::vector<Row> Run(const RunOptions& opt) {
     const double secs = BestWallSeconds(repeats, [&] {
       core::HopliteCluster cluster(PaperCluster(nodes));
       const auto ready = std::vector<SimTime>(static_cast<std::size_t>(nodes), 0);
-      sink = sink + static_cast<std::uint64_t>(HopliteBroadcast(cluster, bytes, ready) * 1e9);
+      const auto done = StartHopliteCollective("broadcast", cluster, bytes, ready);
+      sink = sink + static_cast<std::uint64_t>(FinishCollective(cluster, done) * 1e9);
     });
     rows.push_back(Row{.series = "broadcast-sim",
                        .coords = {{"nodes", static_cast<double>(nodes)},
@@ -101,7 +102,8 @@ std::vector<Row> Run(const RunOptions& opt) {
     const double secs = BestWallSeconds(repeats, [&] {
       core::HopliteCluster cluster(PaperCluster(nodes));
       const auto ready = std::vector<SimTime>(static_cast<std::size_t>(nodes), 0);
-      sink = sink + static_cast<std::uint64_t>(HopliteReduce(cluster, bytes, ready) * 1e9);
+      const auto done = StartHopliteCollective("reduce", cluster, bytes, ready);
+      sink = sink + static_cast<std::uint64_t>(FinishCollective(cluster, done) * 1e9);
     });
     rows.push_back(Row{.series = "reduce-sim",
                        .coords = {{"nodes", static_cast<double>(nodes)},

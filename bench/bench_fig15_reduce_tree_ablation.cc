@@ -24,7 +24,7 @@ double ReduceWithDegree(int nodes, std::int64_t bytes, int degree, int shards) {
   options.directory.inline_threshold = 1;
   core::HopliteCluster cluster(options);
   const auto ready = std::vector<SimTime>(static_cast<std::size_t>(nodes), 0);
-  return HopliteReduce(cluster, bytes, ready);
+  return FinishCollective(cluster, StartHopliteCollective("reduce", cluster, bytes, ready));
 }
 
 std::vector<Row> Run(const RunOptions& opt) {

@@ -47,9 +47,7 @@ double HopliteOp(const std::string& op, int nodes, std::int64_t bytes,
                  SimDuration interval, int shards) {
   core::HopliteCluster cluster(WithShards(PaperCluster(nodes), shards));
   const auto ready = Staggered(nodes, interval);
-  if (op == "broadcast") return HopliteBroadcast(cluster, bytes, ready);
-  if (op == "reduce") return HopliteReduce(cluster, bytes, ready);
-  return HopliteAllreduce(cluster, bytes, ready);
+  return FinishCollective(cluster, StartHopliteCollective(op, cluster, bytes, ready));
 }
 
 std::vector<Row> Run(const RunOptions& opt) {

@@ -15,7 +15,7 @@
 //     speedup over the same composition at shards=1. The ROADMAP target is
 //     >= 2x at 4 shards on a host with >= 4 cores; on fewer cores the rows
 //     still record the trajectory (a 1-core box pins speedup near 1.0, by
-//     physics, not by engine design — the windows do run concurrently).
+//     physics, not by engine design — the shards do drain concurrently).
 //
 // Run: bench_all --figure scale_shards (scale: --max-nodes, --max-bytes).
 //

@@ -62,8 +62,9 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
 }
 
 // ----------------------------------------------------------------------
-// Hoplite collective runners. Each returns the simulated completion time in
-// seconds (from t = 0) of the whole operation.
+// Hoplite collective runners. Each Start* runner returns a ref that settles
+// when the last participant finishes; FinishCollective drains the cluster
+// and turns it into the completion time in seconds (from t = 0).
 // ----------------------------------------------------------------------
 
 /// Drains the cluster and returns the settle time of `all_done` in seconds,
@@ -79,9 +80,8 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
 
 // The Start* runners issue a collective without driving the engine, so
 // several clusters (each on its own sharded-engine domain) can be loaded
-// first and then run concurrently with one engine Run(); the Hoplite*
-// wrappers below keep the classic issue-and-drain shape for the solo-cluster
-// figures.
+// first and then run concurrently with one engine Run(). A solo-cluster
+// figure drains with FinishCollective(cluster, StartHopliteCollective(...)).
 
 /// Broadcast: node 0 Puts at ready_at[0]; every other node Gets at its
 /// ready_at. Settles when the last receiver holds the object.
@@ -103,12 +103,6 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
   return WhenAll(received);
 }
 
-[[nodiscard]] inline double HopliteBroadcast(core::HopliteCluster& cluster,
-                                             std::int64_t bytes,
-                                             const std::vector<SimTime>& ready_at) {
-  return FinishCollective(cluster, StartHopliteBroadcast(cluster, bytes, ready_at));
-}
-
 /// Gather: every node Puts at its ready_at; node 0 then Gets every object.
 [[nodiscard]] inline Ref<std::vector<store::Buffer>> StartHopliteGather(
     core::HopliteCluster& cluster, std::int64_t bytes,
@@ -124,11 +118,6 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
         cluster.client(0).Get(object, core::GetOptions{.read_only = true}));
   }
   return WhenAll(gathered);
-}
-
-[[nodiscard]] inline double HopliteGather(core::HopliteCluster& cluster, std::int64_t bytes,
-                                          const std::vector<SimTime>& ready_at) {
-  return FinishCollective(cluster, StartHopliteGather(cluster, bytes, ready_at));
 }
 
 /// Reduce: every node Puts at its ready_at; node 0 Reduces all and Gets the
@@ -152,11 +141,6 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
   cluster.client(0).Reduce(std::move(spec));
   return WhenAll(std::vector<Ref<store::Buffer>>{
       cluster.client(0).Get(target, core::GetOptions{.read_only = true})});
-}
-
-[[nodiscard]] inline double HopliteReduce(core::HopliteCluster& cluster, std::int64_t bytes,
-                                          const std::vector<SimTime>& ready_at) {
-  return FinishCollective(cluster, StartHopliteReduce(cluster, bytes, ready_at));
 }
 
 /// Allreduce: reduce at node 0 + every node Gets the result (§3.4.3).
@@ -183,12 +167,6 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
         cluster.client(w).Get(target, core::GetOptions{.read_only = true}));
   }
   return WhenAll(received);
-}
-
-[[nodiscard]] inline double HopliteAllreduce(core::HopliteCluster& cluster,
-                                             std::int64_t bytes,
-                                             const std::vector<SimTime>& ready_at) {
-  return FinishCollective(cluster, StartHopliteAllreduce(cluster, bytes, ready_at));
 }
 
 
@@ -299,14 +277,10 @@ inline void CheckCollectiveOp(const std::string& op) {
 [[nodiscard]] inline double HopliteCollective(const std::string& op,
                                               const core::HopliteCluster::Options& options,
                                               std::int64_t bytes) {
-  CheckCollectiveOp(op);
   core::HopliteCluster cluster(options);
   const auto ready =
       std::vector<SimTime>(static_cast<std::size_t>(cluster.num_nodes()), 0);
-  if (op == "broadcast") return HopliteBroadcast(cluster, bytes, ready);
-  if (op == "gather") return HopliteGather(cluster, bytes, ready);
-  if (op == "reduce") return HopliteReduce(cluster, bytes, ready);
-  return HopliteAllreduce(cluster, bytes, ready);
+  return FinishCollective(cluster, StartHopliteCollective(op, cluster, bytes, ready));
 }
 
 [[nodiscard]] inline double HopliteCollective(const std::string& op, int nodes,

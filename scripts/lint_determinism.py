@@ -3,8 +3,8 @@
 
 The simulator promises bit-reproducible runs from identical inputs, and the
 sharded engine adds a second contract on top: per-domain state is confined to
-its domain and cross-domain traffic travels through the engine's timestamped
-mailbox. Both contracts die quietly — one range-for over a hash map, one
+its domain, and an engine domain never schedules into another, so shards
+share nothing. Both contracts die quietly — one range-for over a hash map, one
 wall-clock read two calls deep, one by-reference lambda capture outliving its
 frame — so this analyzer enforces them statically, with no clang tooling
 dependency (pure stdlib Python): a real tokenizer, a scope/brace tracker and a
@@ -33,8 +33,8 @@ Line rules (local, regex-over-stripped-lines)
                      workload), or any file in a src/ directory the DAG does
                      not list (its includes could not be checked).
   shared-mutable     Threading primitives outside the sanctioned owners (the
-                     sharded engine, the bench --jobs pool). Cross-shard state
-                     must travel through the engine's inter-shard mailbox.
+                     sharded engine, the bench --jobs pool). Shards share no
+                     state: each engine domain runs on one shard only.
 
 Scope-aware rules (symbol table + cross-file call graph)
 --------------------------------------------------------
@@ -114,7 +114,7 @@ import re
 import sys
 from pathlib import Path
 
-MODEL_VERSION = 8  # bump to invalidate --summary-dir caches
+MODEL_VERSION = 9  # bump to invalidate --summary-dir caches
 
 LINE_RULES = (
     "unordered-iter",
@@ -1047,8 +1047,8 @@ def run_line_rules(model: dict, raw_lines: list[str], code_lines: list[str]) -> 
             if m:
                 add_finding(model, lineno, "shared-mutable",
                             f"'{m.group(0).strip()}' outside the sanctioned threading "
-                            "owners (sharded engine, bench --jobs pool); share state "
-                            "across shards via the engine's inter-shard mailbox instead")
+                            "owners (sharded engine, bench --jobs pool); keep state "
+                            "inside one engine domain instead")
 
         for m in CHECK_MACRO.finditer(code):
             blob = " ".join(code_lines[lineno - 1 : lineno + 3])

@@ -15,7 +15,6 @@ enum class EvictionPolicyKind {
   kLru,           ///< classic LRU — byte-identical to the pre-policy store
   kTwoQ,          ///< 2Q: FIFO probation + ghost-promoted LRU main queue
   kSegmentedLru,  ///< SLRU: probationary + protected LRU segments
-  kArc,           ///< ARC: adaptive recency/frequency split with ghost feedback
 };
 
 [[nodiscard]] constexpr const char* PolicyName(EvictionPolicyKind kind) noexcept {
@@ -23,7 +22,6 @@ enum class EvictionPolicyKind {
     case EvictionPolicyKind::kLru: return "lru";
     case EvictionPolicyKind::kTwoQ: return "2q";
     case EvictionPolicyKind::kSegmentedLru: return "slru";
-    case EvictionPolicyKind::kArc: return "arc";
   }
   return "?";
 }

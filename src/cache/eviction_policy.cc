@@ -1,6 +1,5 @@
 #include "cache/eviction_policy.h"
 
-#include <algorithm>
 #include <iterator>
 #include <list>
 
@@ -299,111 +298,6 @@ class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public MultiQueuePolicy
   std::int64_t protected_bytes_ = 0;
 };
 
-/// ARC (after Megiddo & Modha). Two resident lists — T1 (seen once
-/// recently) and T2 (seen at least twice) — plus ghost breadcrumbs of their
-/// capacity evictions (B1/B2, ids only). The split between recency and
-/// frequency is not fixed: a re-insert that hits B1 proves T1 was evicted
-/// too eagerly and grows T1's byte target `p`; a B2 hit shrinks it. Byte
-/// denomination throughout (the store caches variable-size objects, not
-/// pages), and victims follow the target rather than classic ARC's
-/// request-carried REPLACE hint: our PickVictim cannot know which request
-/// triggered the eviction, so "T1 over target pays first" is the whole
-/// rule — same fixed point, one less plumbing hole.
-class HOPLITE_DOMAIN_CONFINED ArcPolicy final : public MultiQueuePolicy {
- public:
-  explicit ArcPolicy(std::int64_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes), ghost_budget_bytes_(capacity_bytes) {}
-
-  void OnInsert(ObjectID object, std::int64_t bytes) override {
-    const auto [it, inserted] = index_.emplace(object, Slot{});
-    HOPLITE_CHECK(inserted) << "ArcPolicy: duplicate insert of " << object;
-    if (EraseGhost(b1_, b1_index_, b1_bytes_, object)) {
-      // B1 hit: recency was under-provisioned; learn toward T1.
-      p_ = std::min(capacity_bytes_, p_ + bytes);
-      t2_bytes_ += bytes;
-      it->second = Slot{&t2_, t2_.PushFront(object, bytes)};
-      return;
-    }
-    if (EraseGhost(b2_, b2_index_, b2_bytes_, object)) {
-      // B2 hit: frequency was under-provisioned; learn toward T2.
-      p_ = std::max<std::int64_t>(0, p_ - bytes);
-      t2_bytes_ += bytes;
-      it->second = Slot{&t2_, t2_.PushFront(object, bytes)};
-      return;
-    }
-    t1_bytes_ += bytes;
-    it->second = Slot{&t1_, t1_.PushFront(object, bytes)};
-  }
-
-  void OnTouch(ObjectID object) override {
-    Slot& slot = index_.at(object);
-    if (slot.queue == &t1_) {
-      // Second use while resident: proven reuse, graduate to T2.
-      t1_bytes_ -= slot.pos->bytes;
-      t2_bytes_ += slot.pos->bytes;
-    }
-    t2_.MoveToFront(*slot.queue, slot.pos);
-    slot.queue = &t2_;
-  }
-
-  void OnRemove(ObjectID object, RemovalCause cause) override {
-    const auto it = index_.find(object);
-    HOPLITE_CHECK(it != index_.end()) << "ArcPolicy: remove of untracked " << object;
-    const Slot slot = it->second;
-    index_.erase(it);
-    const bool recent = slot.queue == &t1_;
-    (recent ? t1_bytes_ : t2_bytes_) -= slot.pos->bytes;
-    // Only capacity evictions leave breadcrumbs: a Delete'd id re-created
-    // later is a fresh object, not evidence the split was wrong.
-    if (cause == RemovalCause::kEvicted) {
-      GhostQueue& ghost = recent ? b1_ : b2_;
-      auto& ghost_index = recent ? b1_index_ : b2_index_;
-      auto& ghost_bytes = recent ? b1_bytes_ : b2_bytes_;
-      ghost.push_front(GhostEntry{slot.pos->id, slot.pos->bytes});
-      ghost_bytes += slot.pos->bytes;
-      ghost_index[slot.pos->id] = ghost.begin();
-      while (ghost_bytes > ghost_budget_bytes_ && !ghost.empty()) {
-        ghost_bytes -= ghost.back().bytes;
-        ghost_index.erase(ghost.back().id);
-        ghost.pop_back();
-      }
-    }
-    slot.queue->Erase(slot.pos);
-  }
-
-  [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
-    // T1 over its adaptive target pays first; each side falls back to the
-    // other so a pinned-heavy list never wedges the store.
-    return t1_bytes_ > p_ ? ColdestOf(t1_, t2_) : ColdestOf(t2_, t1_);
-  }
-
- private:
-  static bool EraseGhost(GhostQueue& ghost,
-                         det::Map<ObjectID, GhostQueue::iterator>& ghost_index,
-                         std::int64_t& ghost_bytes, ObjectID object) {
-    const auto it = ghost_index.find(object);
-    if (it == ghost_index.end()) return false;
-    ghost_bytes -= it->second->bytes;
-    ghost.erase(it->second);
-    ghost_index.erase(it);
-    return true;
-  }
-
-  const std::int64_t capacity_bytes_;
-  const std::int64_t ghost_budget_bytes_;
-  std::int64_t p_ = 0;  ///< adaptive byte target for T1 (0 = all-frequency)
-  StampedQueue t1_;     // recency list, front = MRU
-  StampedQueue t2_;     // frequency list, front = MRU
-  GhostQueue b1_;       // ghosts of T1 capacity evictions
-  GhostQueue b2_;       // ghosts of T2 capacity evictions
-  std::int64_t t1_bytes_ = 0;
-  std::int64_t t2_bytes_ = 0;
-  std::int64_t b1_bytes_ = 0;
-  std::int64_t b2_bytes_ = 0;
-  det::Map<ObjectID, GhostQueue::iterator> b1_index_;
-  det::Map<ObjectID, GhostQueue::iterator> b2_index_;
-};
-
 }  // namespace
 
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionPolicyKind kind,
@@ -413,7 +307,6 @@ std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionPolicyKind kind,
     case EvictionPolicyKind::kTwoQ: return std::make_unique<TwoQPolicy>(capacity_bytes);
     case EvictionPolicyKind::kSegmentedLru:
       return std::make_unique<SegmentedLruPolicy>(capacity_bytes);
-    case EvictionPolicyKind::kArc: return std::make_unique<ArcPolicy>(capacity_bytes);
   }
   HOPLITE_CHECK(false) << "unknown eviction policy";
   return nullptr;

@@ -41,15 +41,15 @@ class HopliteCluster {
     /// private single-threaded sim::Simulator — the reference setup every
     /// figure uses. To compose clusters under the sharded engine, pass a
     /// ShardedSimulator domain lane here; the whole cluster then lives on
-    /// that domain (one cluster is one zero-lookahead coupling unit: its
-    /// fabric is mutated synchronously from node events, so it cannot be
-    /// split across domains without changing semantics). The engine must
-    /// outlive the cluster.
+    /// that domain. Domains never schedule into each other, so clusters on
+    /// one engine are independent (one cluster cannot span domains: its
+    /// fabric is mutated synchronously from every node's events). The
+    /// engine must outlive the cluster.
     sim::Engine* engine = nullptr;
     /// When `engine` is null and this is > 1, the cluster owns a
     /// ShardedSimulator with that many shards and lives on its only domain
-    /// (the bench `--shards N` knob). A single domain serializes onto one
-    /// shard, so results are bit-identical to the reference Simulator —
+    /// (the bench `--shards N` knob). A domain keeps the reference
+    /// Simulator's (time, seq) order, so results are bit-identical to it —
     /// this is the differential-sweep configuration, not a speedup.
     int engine_shards = 1;
   };

@@ -6,10 +6,11 @@
 //   * sim::Simulator (sim/simulator.h) — the single-threaded reference
 //     engine: one heap, global (time, seq) FIFO order, bit-reproducible by
 //     construction. This is the determinism reference.
-//   * sim::ShardedSimulator (sim/sharded_simulator.h) — the rack-partitioned
-//     parallel engine: per-shard event lanes synchronized with conservative
-//     lookahead. A cluster binds to one of its domains and schedules through
-//     the same surface; single-domain workloads reproduce the reference
+//   * sim::ShardedSimulator (sim/sharded_simulator.h) — the parallel engine
+//     for independent domains: each domain is an event stream with its own
+//     clock and FIFO order that never schedules into another, and shards
+//     drain their domains concurrently. A cluster binds to one domain and
+//     schedules through the same surface; a domain reproduces the reference
 //     engine's execution order exactly.
 //
 // The interface is deliberately narrow: layers may schedule, cancel and read

@@ -47,6 +47,12 @@ void LocalStore::AdvanceChunks(ObjectID object, std::int64_t chunks_ready) {
 }
 
 void LocalStore::MarkComplete(ObjectID object, Buffer payload) {
+  // Taken out of the entry before any subscriber runs: a chunk or completion
+  // subscriber may evict or remove this entry, and every completion
+  // subscriber must still be handed the payload.
+  std::vector<CompletionCallback> subs;
+  Buffer buf;
+  std::int64_t num_chunks = 0;
   {
     Entry& entry = MutableEntry(object);
     HOPLITE_CHECK(!entry.state.complete) << object << " completed twice on node " << node_;
@@ -57,19 +63,16 @@ void LocalStore::MarkComplete(ObjectID object, Buffer payload) {
     // Before any subscriber fires: one may create an entry in this store,
     // and the eviction that triggers must see this entry as a candidate.
     ReportEvictability(object, entry);
+    subs.reserve(entry.completion_subs.size());
+    for (const auto& [token, cb] : entry.completion_subs) subs.push_back(cb);
+    entry.completion_subs.clear();
+    buf = entry.state.payload;
+    num_chunks = entry.state.layout.num_chunks();
   }
-  AdvanceChunks(object, EntryOf(object).state.layout.num_chunks());
-  // The object may have been removed by a chunk subscriber; re-find it.
-  auto it = entries_.find(object);
-  if (it == entries_.end()) return;
-  std::vector<CompletionCallback> subs;
-  subs.reserve(it->second.completion_subs.size());
-  for (const auto& [token, cb] : it->second.completion_subs) subs.push_back(cb);
-  it->second.completion_subs.clear();
-  // A copy of the handle, not a reference into the entry: a subscriber may
-  // evict or remove this entry before the next one runs.
-  const Buffer buf = it->second.state.payload;
+  AdvanceChunks(object, num_chunks);
   for (const auto& cb : subs) cb(buf);
+  // A subscriber that evicted or removed the entry already settled capacity.
+  if (!Contains(object)) return;
   // Completion can turn this entry evictable; re-check capacity.
   MaybeEvict();
   HOPLITE_AUDIT_SCOPE(AuditAccounting());

@@ -69,7 +69,9 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   void AdvanceChunks(ObjectID object, std::int64_t chunks_ready);
 
   /// Marks the object complete and attaches its payload. Implies advancing
-  /// to the full chunk count. Fires chunk + completion subscribers.
+  /// to the full chunk count. Fires chunk, then completion subscribers; every
+  /// completion subscriber registered before the call runs, even if a
+  /// subscriber evicts or removes the entry first.
   void MarkComplete(ObjectID object, Buffer payload);
 
   /// Rolls the available-chunk prefix of a *non-complete* entry back to zero.

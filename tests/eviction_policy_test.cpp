@@ -1,7 +1,6 @@
 // Unit tests for the pluggable store replacement policies: LRU recency
-// order, 2Q's ghost-proven promotion and scan resistance, segmented LRU's
-// probation/protected split and tail demotion, ARC's adaptive
-// recency/frequency split and ghost feedback.
+// order, 2Q's ghost-proven promotion and scan resistance, and segmented
+// LRU's probation/protected split and tail demotion.
 #include "cache/eviction_policy.h"
 
 #include <gtest/gtest.h>
@@ -116,62 +115,6 @@ TEST(SegmentedLruPolicyTest, ProtectedOverflowDemotesItsTail) {
   EXPECT_EQ(policy->PickVictim(), kA);
   policy->OnRemove(kA, RemovalCause::kEvicted);
   EXPECT_EQ(policy->PickVictim(), kB);
-}
-
-TEST(ArcPolicyTest, TouchGraduatesToFrequencyAndSparesIt) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  InsertEvictable(*policy, kA, 200);
-  InsertEvictable(*policy, kB, 200);
-  policy->OnTouch(kA);  // a proves reuse: T1 -> T2
-
-  // p starts at 0 (all-frequency): T1 is over target, so the untouched
-  // recency entry pays, never the proven-frequent one.
-  EXPECT_EQ(policy->PickVictim(), kB);
-  policy->OnRemove(kB, RemovalCause::kEvicted);
-
-  // Only T2 left: the pick falls back to it.
-  EXPECT_EQ(policy->PickVictim(), kA);
-  EXPECT_EQ(policy->size(), 1u);
-}
-
-TEST(ArcPolicyTest, GhostHitAdaptsTheSplit) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-
-  // First life of `a`: evicted from T1, leaves a B1 ghost.
-  InsertEvictable(*policy, kA, 400);
-  policy->OnRemove(kA, RemovalCause::kEvicted);
-
-  // Second life: the B1 hit grows p to 400 and lands `a` in T2 directly.
-  InsertEvictable(*policy, kA, 400);
-  // A fresh recency entry under the grown target: T1 (300) <= p (400), so
-  // the victim pick starts at T2 — the ghost-promoted `a` goes first even
-  // though `b` was inserted later.
-  InsertEvictable(*policy, kB, 300);
-  EXPECT_EQ(policy->PickVictim(), kA);
-}
-
-TEST(ArcPolicyTest, ErasedEntriesLeaveNoGhost) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  InsertEvictable(*policy, kA, 400);
-  policy->OnRemove(kA, RemovalCause::kErased);  // deleted, not evicted
-
-  // A recreated id starts in T1 again (no B1 breadcrumb, p unchanged at 0),
-  // so it is the first victim ahead of nothing in T2.
-  InsertEvictable(*policy, kA, 400);
-  InsertEvictable(*policy, kB, 400);
-  EXPECT_EQ(policy->PickVictim(), kA);
-}
-
-TEST(ArcPolicyTest, NonEvictableTailIsSkipped) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  InsertEvictable(*policy, kA, 200);
-  InsertEvictable(*policy, kB, 200);
-  policy->OnTouch(kB);  // b in T2, a in T1
-  // The natural victim (a, T1 over target) is pinned: fall through to T2.
-  policy->SetEvictable(kA, false);
-  EXPECT_EQ(policy->PickVictim(), kB);
-  policy->SetEvictable(kB, false);
-  EXPECT_EQ(policy->PickVictim(), std::nullopt);
 }
 
 }  // namespace

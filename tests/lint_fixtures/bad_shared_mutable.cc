@@ -1,6 +1,6 @@
 // Lint self-test fixture: thread-shared mutable state outside the
-// sanctioned owners (sharded engine, bench --jobs pool). Cross-shard
-// interaction must travel through the engine's inter-shard mailbox.
+// sanctioned owners (sharded engine, bench --jobs pool). Shards share no
+// state: each engine domain runs on one shard only.
 // Never compiled; consumed by `lint_determinism.py --self-test`.
 #include <atomic>
 #include <mutex>

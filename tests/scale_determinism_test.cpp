@@ -33,21 +33,24 @@ RunResult RunCollectives(int nodes) {
   {
     core::HopliteCluster cluster(options);
     const auto ready = std::vector<SimTime>(static_cast<std::size_t>(nodes), 0);
-    result.broadcast_s = HopliteBroadcast(cluster, MB(8), ready);
+    result.broadcast_s =
+        FinishCollective(cluster, StartHopliteCollective("broadcast", cluster, MB(8), ready));
     result.executed_events += cluster.simulator().executed_events();
     result.node0_bytes_sent += cluster.network().TrafficOf(0).bytes_sent;
   }
   {
     core::HopliteCluster cluster(options);
     const auto ready = Staggered(nodes, Microseconds(5));
-    result.reduce_s = HopliteReduce(cluster, MB(8), ready);
+    result.reduce_s =
+        FinishCollective(cluster, StartHopliteCollective("reduce", cluster, MB(8), ready));
     result.executed_events += cluster.simulator().executed_events();
     result.node0_bytes_sent += cluster.network().TrafficOf(0).bytes_sent;
   }
   {
     core::HopliteCluster cluster(options);
     const auto ready = std::vector<SimTime>(static_cast<std::size_t>(nodes), 0);
-    result.allreduce_s = HopliteAllreduce(cluster, MB(8), ready);
+    result.allreduce_s =
+        FinishCollective(cluster, StartHopliteCollective("allreduce", cluster, MB(8), ready));
     result.executed_events += cluster.simulator().executed_events();
     result.node0_bytes_sent += cluster.network().TrafficOf(0).bytes_sent;
   }

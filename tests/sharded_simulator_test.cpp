@@ -1,12 +1,11 @@
-// Unit tests for the sharded (conservative-lookahead) parallel engine.
+// Unit tests for the sharded parallel engine of independent domains.
 //
 // The load-bearing property is *order equivalence*: a workload confined to a
 // single domain must execute in exactly the reference Simulator's (time,
-// FIFO) order at every shard count and in both execution modes (windowed
-// parallel and sequenced); multi-domain workloads must execute in an order
-// that is deterministic and independent of shard placement. The tests
-// express this as trace equality between engines driven by byte-identical
-// workloads.
+// FIFO) order at every shard count and in both execution modes (parallel
+// drain and sequenced), and independent domains must each replay their own
+// reference run whatever their placement. The tests express this as trace
+// equality between engines driven by byte-identical workloads.
 #include "sim/sharded_simulator.h"
 
 #include <gtest/gtest.h>
@@ -190,135 +189,57 @@ TEST(ShardedSimulatorTest, DriverSchedulingBetweenPhasesMatchesReference) {
 }
 
 // ----------------------------------------------------------------------
-// Multi-domain: deterministic cross-domain merge order.
+// Multi-domain: independent domains.
 // ----------------------------------------------------------------------
 
-struct PingPong {
-  // Domains volley timestamped messages with exactly the declared lookahead,
-  // plus same-time local noise events, so inter-shard mail constantly ties
-  // with local events on equal timestamps.
-  static void Start(ShardedSimulator& eng, DomainId a, DomainId b, Trace& trace_a,
-                    Trace& trace_b, int volleys) {
-    Volley(eng, a, b, trace_a, trace_b, volleys, 1);
-  }
-
-  static void Volley(ShardedSimulator& eng, DomainId from, DomainId to, Trace& trace_from,
-                     Trace& trace_to, int remaining, std::uint64_t key) {
-    Engine& src = eng.domain(from);
-    src.ScheduleAfter(0, [&eng, from, to, &trace_from, &trace_to, remaining, key] {
-      Engine& self = eng.domain(from);
-      trace_from.emplace_back(self.Now(), key);
-      // Local noise at the exact arrival time of the cross-domain message.
-      const SimTime arrival = self.Now() + Milliseconds(1);
-      self.ScheduleAt(arrival, [&self, &trace_from, key] {
-        trace_from.emplace_back(self.Now(), key + 500);
-      });
-      if (remaining > 0) {
-        eng.domain(to).ScheduleAt(arrival, [&eng, from, to, &trace_from, &trace_to,
-                                            remaining, key] {
-          trace_to.emplace_back(eng.domain(to).Now(), key + 1000);
-          Volley(eng, to, from, trace_to, trace_from, remaining - 1, key * 7 + 1);
-        });
-      }
-    });
-  }
-};
-
-TEST(ShardedSimulatorTest, CrossDomainMergeIsShardAndModeIndependent) {
-  Trace expected_a;
-  Trace expected_b;
-  {
-    ShardedSimulator eng({1});
-    const DomainId a = eng.AddDomain("a");
-    const DomainId b = eng.AddDomain("b");
-    eng.SetLookahead(a, b, Milliseconds(1));
-    eng.SetLookahead(b, a, Milliseconds(1));
-    PingPong::Start(eng, a, b, expected_a, expected_b, 24);
-    eng.Run();
-  }
-  ASSERT_GT(expected_a.size(), 24u);
-  for (const int shards : {2, 4, 8}) {
-    // Windowed parallel execution.
-    {
-      ShardedSimulator eng({shards});
-      const DomainId a = eng.AddDomain("a", /*shard=*/0);
-      const DomainId b = eng.AddDomain("b", /*shard=*/shards - 1);
-      eng.SetLookahead(a, b, Milliseconds(1));
-      eng.SetLookahead(b, a, Milliseconds(1));
-      Trace trace_a;
-      Trace trace_b;
-      PingPong::Start(eng, a, b, trace_a, trace_b, 24);
-      eng.Run();
-      EXPECT_EQ(trace_a, expected_a) << "windowed shards=" << shards;
-      EXPECT_EQ(trace_b, expected_b) << "windowed shards=" << shards;
-      EXPECT_GT(eng.barriers_crossed(), 1u) << "expected a windowed (not free) run";
-    }
-    // Sequenced execution must produce the same order again.
-    {
-      ShardedSimulator eng({shards});
-      const DomainId a = eng.AddDomain("a", /*shard=*/0);
-      const DomainId b = eng.AddDomain("b", /*shard=*/shards - 1);
-      eng.SetLookahead(a, b, Milliseconds(1));
-      eng.SetLookahead(b, a, Milliseconds(1));
-      Trace trace_a;
-      Trace trace_b;
-      PingPong::Start(eng, a, b, trace_a, trace_b, 24);
-      EXPECT_FALSE(eng.RunUntilPredicate([] { return false; }));
-      EXPECT_EQ(trace_a, expected_a) << "sequenced shards=" << shards;
-      EXPECT_EQ(trace_b, expected_b) << "sequenced shards=" << shards;
-    }
-  }
-}
-
-TEST(ShardedSimulatorTest, EqualTimestampCrossDomainMessagesTieBreakDeterministically) {
-  // Two senders fire messages into one receiver arriving at the *same*
-  // timestamp, where the receiver also has a local event. The documented
-  // order key is (time, parent_step, parent_domain, idx): the receiver's
-  // local event was scheduled from driver context (parent_domain 0), so it
-  // fires first; then the message from the domain whose scheduling event
-  // executed earlier (smaller parent_step... equal here, so smaller
-  // parent_domain id — domain a before domain b).
-  ShardedSimulator eng({2});
-  const DomainId a = eng.AddDomain("a", 0);
-  const DomainId b = eng.AddDomain("b", 1);
-  const DomainId r = eng.AddDomain("recv", 1);
-  eng.SetLookahead(a, r, Milliseconds(1));
-  eng.SetLookahead(b, r, Milliseconds(1));
-  std::vector<std::uint64_t> order;
-  const SimTime arrival = Milliseconds(3);
-  // Driver-context local event at the arrival time (root key sorts first).
-  eng.domain(r).ScheduleAt(arrival, [&order] { order.push_back(0); });
-  // Both senders' step-0 events schedule into the receiver for `arrival`.
-  eng.domain(b).ScheduleAt(Milliseconds(2), [&eng, r, arrival, &order] {
-    eng.domain(r).ScheduleAt(arrival, [&order] { order.push_back(2); });
-  });
-  eng.domain(a).ScheduleAt(Milliseconds(2), [&eng, r, arrival, &order] {
-    eng.domain(r).ScheduleAt(arrival, [&order] { order.push_back(1); });
-  });
-  eng.Run();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2}));
-}
-
 TEST(ShardedSimulatorTest, IndependentDomainsFreeRunInASingleWindow) {
-  ShardedSimulator eng({2});
-  const DomainId a = eng.AddDomain("a", 0);
-  const DomainId b = eng.AddDomain("b", 1);
-  Trace trace_a;
-  Trace trace_b;
-  ChurnWorkload wa(eng.domain(a), trace_a, 5);
-  ChurnWorkload wb(eng.domain(b), trace_b, 9);
-  wa.Start(6);
-  wb.Start(6);
-  eng.Run();
-  // No lookahead edges declared: both shards free-run to drain in one
-  // window, concurrently.
-  EXPECT_EQ(eng.barriers_crossed(), 1u);
-  EXPECT_EQ(eng.max_parallel_shards(), 2);
+  // Two domains on two shards drain concurrently in one dispatch, each in
+  // exactly its reference order. A fresh engine and real threads on every
+  // repeat: this is the TSan lane's multi-threaded workhorse.
   const Reference ref_a = ReferenceRun(5, 6);
   const Reference ref_b = ReferenceRun(9, 6);
-  EXPECT_EQ(trace_a, ref_a.trace);
-  EXPECT_EQ(trace_b, ref_b.trace);
-  EXPECT_EQ(eng.total_executed_events(), ref_a.executed + ref_b.executed);
+  for (int rep = 0; rep < 4; ++rep) {
+    ShardedSimulator eng({2});
+    const DomainId a = eng.AddDomain("a");
+    const DomainId b = eng.AddDomain("b");
+    Trace trace_a;
+    Trace trace_b;
+    ChurnWorkload wa(eng.domain(a), trace_a, 5);
+    ChurnWorkload wb(eng.domain(b), trace_b, 9);
+    wa.Start(6);
+    wb.Start(6);
+    eng.Run();
+    EXPECT_EQ(eng.max_parallel_shards(), 2);
+    EXPECT_EQ(trace_a, ref_a.trace) << "rep " << rep;
+    EXPECT_EQ(trace_b, ref_b.trace) << "rep " << rep;
+    EXPECT_EQ(eng.domain(a).executed_events(), ref_a.executed);
+    EXPECT_EQ(eng.domain(b).executed_events(), ref_b.executed);
+    EXPECT_TRUE(eng.Idle());
+    eng.AuditInvariants();
+  }
+}
+
+TEST(ShardedSimulatorTest, LaneClockIsPerDomain) {
+  // After a run each lane reads its own domain's last event time, whether
+  // the two domains share a shard (shards 1) or not (shards 2).
+  for (const int shards : {1, 2}) {
+    ShardedSimulator eng({shards});
+    const DomainId a = eng.AddDomain("a");
+    const DomainId b = eng.AddDomain("b");
+    eng.domain(a).ScheduleAt(Milliseconds(1), [] {});
+    eng.domain(b).ScheduleAt(Milliseconds(5), [] {});
+    eng.Run();
+    ASSERT_EQ(eng.domain(a).Now(), Milliseconds(1)) << "shards=" << shards;
+    ASSERT_EQ(eng.domain(b).Now(), Milliseconds(5)) << "shards=" << shards;
+    // 2 ms is in b's past but not in a's: a driver schedule into a is legal.
+    SimTime fired_at = 0;
+    eng.domain(a).ScheduleAt(Milliseconds(2), [&eng, a, &fired_at] {
+      fired_at = eng.domain(a).Now();
+    });
+    eng.Run();
+    EXPECT_EQ(fired_at, Milliseconds(2)) << "shards=" << shards;
+    EXPECT_EQ(eng.domain(b).Now(), Milliseconds(5)) << "shards=" << shards;
+  }
 }
 
 TEST(ShardedSimulatorTest, SingleDomainNeverLeavesTheCallerThread) {
@@ -328,42 +249,16 @@ TEST(ShardedSimulatorTest, SingleDomainNeverLeavesTheCallerThread) {
   eng.domain(d).ScheduleAfter(Milliseconds(1), [&fired] { ++fired; });
   eng.Run();
   EXPECT_EQ(fired, 1);
-  // Only one runnable shard per window: the inline fast path executes on
-  // the driver thread and no worker pool exists.
+  // Only one shard has work: the inline fast path executes on the driver
+  // thread and no worker pool exists.
   EXPECT_EQ(eng.max_parallel_shards(), 1);
-}
-
-TEST(ShardedSimulatorTest, WindowedRunIsReproducibleAcrossRepeats) {
-  // Same workload, fresh engine, real threads each time: traces must be
-  // bit-identical run over run (this is the TSan-lane workhorse).
-  Trace first_a;
-  Trace first_b;
-  for (int rep = 0; rep < 4; ++rep) {
-    ShardedSimulator eng({4});
-    const DomainId a = eng.AddDomain("a", 0);
-    const DomainId b = eng.AddDomain("b", 3);
-    eng.SetLookahead(a, b, Milliseconds(1));
-    eng.SetLookahead(b, a, Milliseconds(1));
-    Trace trace_a;
-    Trace trace_b;
-    PingPong::Start(eng, a, b, trace_a, trace_b, 40);
-    eng.Run();
-    if (rep == 0) {
-      first_a = trace_a;
-      first_b = trace_b;
-      ASSERT_GT(trace_a.size(), 40u);
-    } else {
-      EXPECT_EQ(trace_a, first_a);
-      EXPECT_EQ(trace_b, first_b);
-    }
-  }
 }
 
 // ----------------------------------------------------------------------
 // Contract enforcement.
 // ----------------------------------------------------------------------
 
-TEST(ShardedSimulatorDeathTest, UndeclaredCrossDomainScheduleDies) {
+TEST(ShardedSimulatorDeathTest, CrossDomainScheduleDies) {
   // Both domains on one shard: the run stays inline (no threads), which
   // keeps the death test on the fork-safe path.
   ShardedSimulator eng({1});
@@ -372,45 +267,16 @@ TEST(ShardedSimulatorDeathTest, UndeclaredCrossDomainScheduleDies) {
   eng.domain(a).ScheduleAfter(0, [&eng, b] {
     eng.domain(b).ScheduleAfter(Milliseconds(5), [] {});
   });
-  EXPECT_DEATH(eng.Run(), "without a declared lookahead edge");
-}
-
-TEST(ShardedSimulatorDeathTest, LookaheadViolationDies) {
-  ShardedSimulator eng({1});
-  const DomainId a = eng.AddDomain("a");
-  const DomainId b = eng.AddDomain("b");
-  eng.SetLookahead(a, b, Milliseconds(2));
-  eng.domain(a).ScheduleAfter(0, [&eng, b] {
-    // Targets now + 1ms < now + lookahead(2ms): conservative contract broken.
-    eng.domain(b).ScheduleAfter(Milliseconds(1), [] {});
-  });
-  EXPECT_DEATH(eng.Run(), "violates its declared lookahead");
+  EXPECT_DEATH(eng.Run(), "cross-domain schedule");
 }
 
 TEST(ShardedSimulatorDeathTest, CrossDomainCancelDies) {
   ShardedSimulator eng({1});
   const DomainId a = eng.AddDomain("a");
   const DomainId b = eng.AddDomain("b");
-  eng.SetLookahead(a, b, Milliseconds(1));
   const EventId victim = eng.domain(b).ScheduleAt(Milliseconds(10), [] {});
   eng.domain(a).ScheduleAfter(0, [&eng, b, victim] { eng.domain(b).Cancel(victim); });
   EXPECT_DEATH(eng.Run(), "cross-domain cancel");
-}
-
-TEST(ShardedSimulatorTest, CrossDomainScheduleReturnsUncancellableHandle) {
-  ShardedSimulator eng({2});
-  const DomainId a = eng.AddDomain("a", 0);
-  const DomainId b = eng.AddDomain("b", 1);
-  eng.SetLookahead(a, b, Milliseconds(1));
-  bool fired = false;
-  eng.domain(a).ScheduleAfter(0, [&eng, b, &fired] {
-    const EventId id =
-        eng.domain(b).ScheduleAfter(Milliseconds(1), [&fired] { fired = true; });
-    // Cross-shard schedules are fire-and-forget: no cancellable handle.
-    EXPECT_FALSE(id.IsValid());
-  });
-  eng.Run();
-  EXPECT_TRUE(fired);
 }
 
 TEST(ShardedSimulatorTest, HeavyCancelTrafficSweepsTombstones) {
@@ -435,20 +301,6 @@ TEST(ShardedSimulatorTest, HeavyCancelTrafficSweepsTombstones) {
   EXPECT_EQ(eng.domain(d).executed_events(), static_cast<std::uint64_t>(kept) + 1);
   EXPECT_TRUE(eng.Idle());
   eng.AuditInvariants();
-}
-
-TEST(ShardedSimulatorTest, AuditsPassAfterCrossShardTraffic) {
-  ShardedSimulator eng({4});
-  const DomainId a = eng.AddDomain("a", 0);
-  const DomainId b = eng.AddDomain("b", 2);
-  eng.SetLookahead(a, b, Milliseconds(1));
-  eng.SetLookahead(b, a, Milliseconds(1));
-  Trace trace_a;
-  Trace trace_b;
-  PingPong::Start(eng, a, b, trace_a, trace_b, 10);
-  eng.Run();
-  eng.AuditInvariants();
-  EXPECT_TRUE(eng.Idle());
 }
 
 }  // namespace
