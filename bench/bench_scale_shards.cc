@@ -2,15 +2,16 @@
 // equivalence versus shard count.
 //
 // Three identical 1024-node rack collective jobs are composed on one
-// ShardedSimulator — one cluster per domain, each cluster running
-// broadcast, reduce and allreduce concurrently — and the whole composition
-// runs at shards in {1, 2, 4, 8}. Identical jobs keep the shards balanced,
-// so the wall-clock rows measure the engine's parallelism, not the job
-// mix. Two row families:
+// ShardedSimulator — one cluster per domain (each domain its own reference
+// Simulator), each cluster running broadcast, reduce and allreduce
+// concurrently — and the whole composition runs at shards in {1, 2, 4, 8}.
+// Identical jobs keep the shards balanced, so the wall-clock rows measure
+// the engine's parallelism, not the job mix. Two row families:
 //
 //   * `sim-<op>` rows (unit `seconds`): each job's simulated finish time.
 //     These must be identical at every shard count — the determinism sweep
-//     diffs them, so a shard-dependent merge shows up as a byte diff.
+//     diffs them, so a domain whose run depended on its placement shows up
+//     as a byte diff.
 //   * `wall` / `wall-speedup` rows: how long the engine took and the
 //     speedup over the same composition at shards=1. The ROADMAP target is
 //     >= 2x at 4 shards on a host with >= 4 cores; on fewer cores the rows
@@ -62,9 +63,8 @@ std::vector<Row> Run(const RunOptions& opt) {
     // finish[op]: job 0's per-op finish time (every job is identical).
     std::vector<SimTime> finish(ops.size(), 0);
     for (int job = 0; job < kJobs; ++job) {
-      const sim::DomainId d = eng.AddDomain("job-" + std::to_string(job));
       clusters.push_back(
-          std::make_unique<core::HopliteCluster>(RackJob(nodes, &eng.domain(d))));
+          std::make_unique<core::HopliteCluster>(RackJob(nodes, &eng.AddDomain())));
       core::HopliteCluster& cluster = *clusters.back();
       for (std::size_t i = 0; i < ops.size(); ++i) {
         done.push_back(bench::StartHopliteCollective(ops[i], cluster, bytes,

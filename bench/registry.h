@@ -42,10 +42,10 @@ struct RunOptions {
   int rounds = 0;                     ///< override app rounds / queries / iterations
   /// Event-engine shards per Hoplite cluster (`--shards N`). 1 = the
   /// reference single-threaded Simulator; > 1 hosts every cluster-backed
-  /// figure on a ShardedSimulator. A cluster lives on one domain, which
-  /// keeps the reference engine's event order, so this changes the engine,
-  /// not the results: sharded sweeps must be byte-identical to shards=1
-  /// (the differential gate in CI).
+  /// figure on a ShardedSimulator. A cluster lives on one domain, and a
+  /// domain is a reference Simulator, so this changes which object owns
+  /// the engine, not the results: sharded sweeps must be byte-identical to
+  /// shards=1 (the differential gate in CI).
   int shards = 1;
 
   /// Clamps a paper-scale node count (never below 2: one sender, one peer).

@@ -3,12 +3,13 @@
 
 The simulator promises bit-reproducible runs from identical inputs, and the
 sharded engine adds a second contract on top: per-domain state is confined to
-its domain, and an engine domain never schedules into another, so shards
-share nothing. Both contracts die quietly — one range-for over a hash map, one
-wall-clock read two calls deep, one by-reference lambda capture outliving its
-frame — so this analyzer enforces them statically, with no clang tooling
-dependency (pure stdlib Python): a real tokenizer, a scope/brace tracker and a
-per-TU symbol table feed a file-local + cross-file call graph over the tree.
+its domain, and an engine domain never schedules into another (every
+Simulator checks that at run time), so shards share nothing. Both contracts
+die quietly — one range-for over a hash map, one wall-clock read two calls
+deep, one by-reference lambda capture outliving its frame — so this
+analyzer enforces them statically, with no clang tooling dependency (pure
+stdlib Python): a real tokenizer, a scope/brace tracker and a per-TU symbol
+table feed a file-local + cross-file call graph over the tree.
 
 Line rules (local, regex-over-stripped-lines)
 ---------------------------------------------
@@ -33,8 +34,11 @@ Line rules (local, regex-over-stripped-lines)
                      workload), or any file in a src/ directory the DAG does
                      not list (its includes could not be checked).
   shared-mutable     Threading primitives outside the sanctioned owners (the
-                     sharded engine, the bench --jobs pool). Shards share no
-                     state: each engine domain runs on one shard only.
+                     event engine, the bench --jobs pool). Shards share no
+                     state: each engine domain runs on one shard only. The
+                     event engine is the sharded engine's worker pool plus
+                     the Simulator's thread_local running-engine marker,
+                     which backs its cross-domain check.
 
 Scope-aware rules (symbol table + cross-file call graph)
 --------------------------------------------------------
@@ -114,7 +118,7 @@ import re
 import sys
 from pathlib import Path
 
-MODEL_VERSION = 9  # bump to invalidate --summary-dir caches
+MODEL_VERSION = 10  # bump to invalidate --summary-dir caches
 
 LINE_RULES = (
     "unordered-iter",
@@ -156,8 +160,12 @@ RNG_HOME = "src/common/rng.h"
 # order is deterministic by construction (verified by det_test).
 DET_HOME = "src/common/det.h"
 
-# The only files allowed to own threads or thread-shared state.
+# The only files allowed to own threads or thread-shared state: the event
+# engine (simulator.h's thread_local running-engine marker, which backs the
+# cross-domain check, and the sharded engine's worker pool) and the bench
+# --jobs pool.
 THREADING_HOMES = {
+    "src/sim/simulator.h",
     "src/sim/sharded_simulator.h",
     "src/sim/sharded_simulator.cc",
     "bench/bench_main.cc",
@@ -1047,7 +1055,7 @@ def run_line_rules(model: dict, raw_lines: list[str], code_lines: list[str]) -> 
             if m:
                 add_finding(model, lineno, "shared-mutable",
                             f"'{m.group(0).strip()}' outside the sanctioned threading "
-                            "owners (sharded engine, bench --jobs pool); keep state "
+                            "owners (event engine, bench --jobs pool); keep state "
                             "inside one engine domain instead")
 
         for m in CHECK_MACRO.finditer(code):

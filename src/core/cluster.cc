@@ -21,9 +21,7 @@ HopliteCluster::HopliteCluster(Options options)
                    : nullptr),
       sim_(options_.engine != nullptr
                ? *options_.engine
-               : (own_sharded_ != nullptr
-                      ? own_sharded_->domain(own_sharded_->AddDomain("cluster"))
-                      : *own_sim_)) {
+               : (own_sharded_ != nullptr ? own_sharded_->AddDomain() : *own_sim_)) {
   network_ = net::MakeFabric(sim_, options_.network);
   directory_ = std::make_unique<directory::ObjectDirectory>(*network_, options_.directory);
   const int n = options_.network.num_nodes;

@@ -26,8 +26,8 @@ namespace hoplite::core {
 
 class HopliteClient;
 
-// hoplite-sa: owner(HopliteCluster) -- owns the engine (or its domain
-// lane) itself: the cluster is destroyed only after the event queue it
+// hoplite-sa: owner(HopliteCluster) -- owns the engine (or its sharded
+// domain) itself: the cluster is destroyed only after the event queue it
 // schedules into has drained.
 class HopliteCluster {
  public:
@@ -40,17 +40,17 @@ class HopliteCluster {
     /// Event engine to run on. When null (default) the cluster owns a
     /// private single-threaded sim::Simulator — the reference setup every
     /// figure uses. To compose clusters under the sharded engine, pass a
-    /// ShardedSimulator domain lane here; the whole cluster then lives on
-    /// that domain. Domains never schedule into each other, so clusters on
-    /// one engine are independent (one cluster cannot span domains: its
-    /// fabric is mutated synchronously from every node's events). The
-    /// engine must outlive the cluster.
+    /// ShardedSimulator::AddDomain() Simulator here; the whole cluster then
+    /// lives on that domain. Domains never schedule into each other, so
+    /// clusters on one engine are independent (one cluster cannot span
+    /// domains: its fabric is mutated synchronously from every node's
+    /// events). The engine must outlive the cluster.
     sim::Engine* engine = nullptr;
     /// When `engine` is null and this is > 1, the cluster owns a
     /// ShardedSimulator with that many shards and lives on its only domain
-    /// (the bench `--shards N` knob). A domain keeps the reference
-    /// Simulator's (time, seq) order, so results are bit-identical to it —
-    /// this is the differential-sweep configuration, not a speedup.
+    /// (the bench `--shards N` knob). That domain is a reference Simulator,
+    /// so results are bit-identical to it — this is the differential-sweep
+    /// configuration, not a speedup.
     int engine_shards = 1;
   };
 

@@ -28,8 +28,6 @@
 //   WhenAllSettled(refs)  per-ref outcomes, in input order; never rejects
 //                         (the error-tolerant variant a workload driver uses
 //                         to keep counting after one tenant's op fails)
-//   WhenAny(refs, k)      ids of the first k to become ready, in readiness
-//                         order (Ray's `ray.wait`)
 //   After(sim, d)         a ref that becomes ready `d` from now
 #pragma once
 
@@ -54,7 +52,6 @@ enum class RefErrorCode {
   kProducerLost,  ///< the producing node/task died and will not be replayed
   kDeleted,       ///< the bound object was Delete'd while the ref was pending
   kTimeout,       ///< WithTimeout / GetOptions::timeout expired
-  kUnsatisfiable, ///< WhenAny can no longer reach k ready refs
   kThrottled,     ///< per-tenant admission control rejected the op (QoS);
                   ///< RefError::retry_after hints when to resubmit
 };
@@ -64,7 +61,6 @@ enum class RefErrorCode {
     case RefErrorCode::kProducerLost: return "producer-lost";
     case RefErrorCode::kDeleted: return "deleted";
     case RefErrorCode::kTimeout: return "timeout";
-    case RefErrorCode::kUnsatisfiable: return "unsatisfiable";
     case RefErrorCode::kThrottled: return "throttled";
   }
   return "?";
@@ -407,45 +403,6 @@ template <typename T>
         slot.value = settled.value();
       }
       if (--*remaining == 0) promise.Resolve(std::move(*outcomes));
-    });
-  }
-  return promise.ref();
-}
-
-/// The bound ids of the first `k` of `refs` to become ready, in readiness
-/// order (ties settle in input order). Failed refs are skipped; if fewer
-/// than `k` refs can still become ready, the result fails with
-/// kUnsatisfiable. This is Ray's `ray.wait` over object futures.
-template <typename T>
-[[nodiscard]] Ref<std::vector<ObjectID>> WhenAny(const std::vector<Ref<T>>& refs,
-                                                 std::size_t k) {
-  HOPLITE_CHECK_LE(k, refs.size()) << "WhenAny wants more refs than it was given";
-  sim::Engine* sim = nullptr;
-  for (const Ref<T>& ref : refs) {
-    HOPLITE_CHECK(ref.valid()) << "WhenAny over an invalid ref";
-    if (ref.simulator() != nullptr) sim = ref.simulator();
-  }
-  RefPromise<std::vector<ObjectID>> promise(sim, ObjectID{});
-  if (k == 0) {
-    promise.Resolve({});
-    return promise.ref();
-  }
-  auto ready = std::make_shared<std::vector<ObjectID>>();
-  auto failures = std::make_shared<std::size_t>(0);
-  const std::size_t budget = refs.size() - k;  // failures we can absorb
-  for (const Ref<T>& ref : refs) {
-    ref.OnSettled([promise, ready, failures, budget, k](const Ref<T>& settled) {
-      if (promise.settled()) return;
-      if (settled.failed()) {
-        if (++*failures > budget) {
-          promise.Reject(RefError{RefErrorCode::kUnsatisfiable,
-                                  "too many failures to reach k=" + std::to_string(k) +
-                                      " (last: " + settled.error().message + ")"});
-        }
-        return;
-      }
-      ready->push_back(settled.id());
-      if (ready->size() == k) promise.Resolve(*ready);
     });
   }
   return promise.ref();

@@ -1,17 +1,14 @@
 // The event-engine interface every layer above the simulator schedules
 // against.
 //
-// Two implementations exist:
-//
-//   * sim::Simulator (sim/simulator.h) — the single-threaded reference
-//     engine: one heap, global (time, seq) FIFO order, bit-reproducible by
-//     construction. This is the determinism reference.
-//   * sim::ShardedSimulator (sim/sharded_simulator.h) — the parallel engine
-//     for independent domains: each domain is an event stream with its own
-//     clock and FIFO order that never schedules into another, and shards
-//     drain their domains concurrently. A cluster binds to one domain and
-//     schedules through the same surface; a domain reproduces the reference
-//     engine's execution order exactly.
+// sim::Simulator (sim/simulator.h) implements it: the single-threaded
+// reference engine, with one heap and (time, seq) FIFO order,
+// bit-reproducible by construction. The parallel engine,
+// sim::ShardedSimulator (sim/sharded_simulator.h), is not a second
+// implementation: its domains are Simulators, independent event streams
+// that never schedule into each other, and its shards drain them
+// concurrently. A cluster bound to a domain therefore runs on a reference
+// engine at any shard count.
 //
 // The interface is deliberately narrow: layers may schedule, cancel and read
 // the clock; driving the loop (Run / RunUntil / RunUntilPredicate) belongs to
@@ -43,7 +40,7 @@ struct EventId {
 /// Semantics shared by every implementation:
 ///  * events at equal timestamps fire in a deterministic engine-defined
 ///    order (the reference engine: FIFO scheduling order);
-///  * callbacks may schedule further events;
+///  * callbacks may schedule further events, into their own engine only;
 ///  * Cancel is O(1) and safe on fired/cancelled/stale handles.
 class Engine {
  public:
@@ -85,13 +82,12 @@ class Engine {
   /// after every executed event.
   virtual bool RunUntilPredicate(const std::function<bool()>& pred) = 0;
 
-  /// Whether any events are pending.
+  /// Whether no live event is pending (cancelled events do not count).
   [[nodiscard]] virtual bool Idle() const = 0;
 
-  /// Number of events executed so far (cancelled events excluded). For a
-  /// sharded-engine domain this counts the domain's own events, which is
-  /// exactly what the reference engine would have counted for the same
-  /// workload running alone.
+  /// Number of events executed so far (cancelled events excluded). A
+  /// sharded-engine domain is a Simulator of its own, so it counts its own
+  /// events only.
   [[nodiscard]] virtual std::uint64_t executed_events() const = 0;
 };
 

@@ -1,11 +1,11 @@
 // Deterministic discrete-event simulation engine.
 //
 // This is the substrate standing in for the paper's 16-node EC2 cluster: all
-// higher layers (network, object store, directory, Hoplite protocols, the task
-// framework and the application workloads) run as event handlers on one
-// Simulator instance. Events at equal timestamps fire in scheduling order
-// (FIFO tie-break via a monotonically increasing sequence number), which makes
-// every run bit-reproducible from its inputs.
+// higher layers (network, object store, directory, Hoplite protocols and the
+// application workloads) run as event handlers on one Simulator instance.
+// Events at equal timestamps fire in scheduling order (FIFO tie-break via a
+// monotonically increasing sequence number), which makes every run
+// bit-reproducible from its inputs.
 //
 // Events live in generation-stamped slots: the heap holds small plain
 // records {time, seq, slot, gen} while callbacks sit in a slot array indexed
@@ -31,18 +31,24 @@ namespace hoplite::sim {
 /// single-threaded reference implementation of sim::Engine.
 ///
 /// Not thread-safe: this engine is single-threaded by design (determinism is
-/// the point), and its global (time, seq) FIFO order is the reference the
-/// sharded engine must reproduce. Event callbacks may schedule further
-/// events.
+/// the point). Event callbacks may schedule further events, but only into
+/// their own engine: an engine is confined to the one event stream it runs,
+/// which is what lets the sharded engine drain independent Simulators on
+/// different threads. ScheduleAt and Cancel check this in every build.
 class Simulator final : public Engine {
  public:
   Simulator() = default;
+
+  /// The engine whose event callback is running on this thread, or null
+  /// outside every callback.
+  [[nodiscard]] static const Simulator* Running() noexcept { return running_; }
 
   /// Current virtual time.
   [[nodiscard]] SimTime Now() const noexcept override { return now_; }
 
   /// Schedules `fn` to run at absolute virtual time `t` (>= Now()).
   EventId ScheduleAt(SimTime t, Callback fn) override {
+    CheckConfined("schedule");
     HOPLITE_CHECK_GE(t, now_) << "cannot schedule into the past";
     HOPLITE_CHECK(fn != nullptr);
     std::uint32_t slot;
@@ -76,6 +82,7 @@ class Simulator final : public Engine {
   /// pending events, so heavy cancel traffic (or cancelling into an
   /// abandoned heap) cannot grow the heap without bound.
   bool Cancel(EventId id) override {
+    CheckConfined("cancel");
     if (!id.IsValid() || id.slot >= slots_.size()) return false;
     Slot& s = slots_[id.slot];
     if (s.gen != id.gen || !s.live) return false;  // fired, cancelled, or reused
@@ -111,7 +118,10 @@ class Simulator final : public Engine {
       if constexpr (audit::kEnabled) {
         if ((executed_events_ & (kAuditPeriod - 1)) == 0) AuditInvariants();
       }
+      const Simulator* const outer = running_;
+      running_ = this;
       fn();
+      running_ = outer;
       return true;
     }
     return false;
@@ -203,7 +213,8 @@ class Simulator final : public Engine {
   /// Number of cancelled-but-unswept heap records (bounded by the sweep in
   /// Cancel; exposed for the accounting regression tests).
   [[nodiscard]] std::size_t cancelled_tombstones() const noexcept { return stale_; }
-  [[nodiscard]] bool Idle() const noexcept override { return heap_.empty(); }
+  /// Whether no live event is pending (cancelled tombstones do not count).
+  [[nodiscard]] bool Idle() const noexcept override { return heap_.size() == stale_; }
 
  private:
   /// Events between consecutive AuditInvariants() walks (power of two).
@@ -230,6 +241,14 @@ class Simulator final : public Engine {
     }
   };
 
+  /// Checks that the caller may `what` (schedule / cancel) here: from the
+  /// driver, or from a callback of this engine, never of another one.
+  void CheckConfined(const char* what) const {
+    HOPLITE_CHECK(running_ == nullptr || running_ == this)
+        << "cross-domain " << what
+        << ": an event callback may only schedule into and cancel in its own engine";
+  }
+
   /// Drops every stale (cancelled) record from the heap. Removing entries
   /// does not perturb execution order: it is fully determined by (time, seq).
   void SweepCancelled() {
@@ -242,6 +261,8 @@ class Simulator final : public Engine {
     std::make_heap(heap_.begin(), heap_.end(), Later{});
     stale_ = 0;
   }
+
+  static inline thread_local const Simulator* running_ = nullptr;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

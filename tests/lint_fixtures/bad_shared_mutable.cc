@@ -1,5 +1,5 @@
 // Lint self-test fixture: thread-shared mutable state outside the
-// sanctioned owners (sharded engine, bench --jobs pool). Shards share no
+// sanctioned owners (event engine, bench --jobs pool). Shards share no
 // state: each engine domain runs on one shard only.
 // Never compiled; consumed by `lint_determinism.py --self-test`.
 #include <atomic>

@@ -58,9 +58,8 @@ TEST(ShardedClusterTest, ComposedClustersReproduceSoloRunsExactly) {
     std::vector<Ref<std::vector<store::Buffer>>> done;
     std::vector<SimTime> finish(ops.size(), 0);
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      const sim::DomainId d = eng.AddDomain("cluster-" + ops[i]);
       clusters.push_back(
-          std::make_unique<core::HopliteCluster>(TestCluster(nodes, &eng.domain(d))));
+          std::make_unique<core::HopliteCluster>(TestCluster(nodes, &eng.AddDomain())));
       done.push_back(bench::StartHopliteCollective(
           ops[i], *clusters[i], bytes, bench::Staggered(nodes, Microseconds(10))));
       core::HopliteCluster& cluster = *clusters[i];
@@ -125,9 +124,8 @@ TEST(ShardedClusterTest, ConcurrentFailureInjectionMatchesSoloRuns) {
   std::vector<Ref<std::vector<store::Buffer>>> done;
   std::vector<SimTime> finish(4, 0);
   for (int i = 0; i < 4; ++i) {
-    const sim::DomainId d = eng.AddDomain("churn-" + std::to_string(i));
     clusters.push_back(
-        std::make_unique<core::HopliteCluster>(TestCluster(nodes, &eng.domain(d))));
+        std::make_unique<core::HopliteCluster>(TestCluster(nodes, &eng.AddDomain())));
     core::HopliteCluster& cluster = *clusters[static_cast<std::size_t>(i)];
     auto& sim = cluster.simulator();
     done.push_back(bench::StartHopliteBroadcast(cluster, bytes,
@@ -153,13 +151,12 @@ TEST(ShardedClusterTest, ConcurrentFailureInjectionMatchesSoloRuns) {
 }
 
 TEST(ShardedClusterTest, SequencedDriverSurfaceWorksForClustersOnDomains) {
-  // RunUntil / RunUntilPredicate through a cluster lane drive the whole
-  // engine in sequenced mode; a single cluster must see reference behavior.
+  // RunUntil / RunUntilPredicate through a cluster's domain drive that
+  // domain alone; a single cluster must see reference behavior.
   SoloResult solo = SoloCollective("broadcast", 4, 1 << 16);
 
   sim::ShardedSimulator eng({2});
-  const sim::DomainId d = eng.AddDomain("main");
-  core::HopliteCluster cluster(TestCluster(4, &eng.domain(d)));
+  core::HopliteCluster cluster(TestCluster(4, &eng.AddDomain()));
   const auto done = bench::StartHopliteCollective("broadcast", cluster, 1 << 16,
                                                   bench::Staggered(4, Microseconds(10)));
   SimTime finish = 0;

@@ -2,10 +2,10 @@
 //
 // The load-bearing property is *order equivalence*: a workload confined to a
 // single domain must execute in exactly the reference Simulator's (time,
-// FIFO) order at every shard count and in both execution modes (parallel
-// drain and sequenced), and independent domains must each replay their own
-// reference run whatever their placement. The tests express this as trace
-// equality between engines driven by byte-identical workloads.
+// FIFO) order at every shard count, whether the engine drains it or its own
+// driver methods step it, and independent domains must each replay their
+// own reference run whatever their placement. The tests express this as
+// trace equality between engines driven by byte-identical workloads.
 #include "sim/sharded_simulator.h"
 
 #include <gtest/gtest.h>
@@ -94,13 +94,13 @@ TEST(ShardedSimulatorTest, SingleDomainMatchesReferenceEngineAtEveryShardCount) 
   ASSERT_GT(expected.trace.size(), 100u);
   for (const int shards : {1, 2, 4, 8}) {
     ShardedSimulator eng({shards});
-    const DomainId d = eng.AddDomain("main");
+    Simulator& d = eng.AddDomain();
     Trace trace;
-    ChurnWorkload workload(eng.domain(d), trace, 7);
+    ChurnWorkload workload(d, trace, 7);
     workload.Start(9);
     eng.Run();
     EXPECT_EQ(trace, expected.trace) << "shards=" << shards;
-    EXPECT_EQ(eng.domain(d).executed_events(), expected.executed);
+    EXPECT_EQ(d.executed_events(), expected.executed);
     EXPECT_TRUE(eng.Idle());
   }
 }
@@ -108,13 +108,13 @@ TEST(ShardedSimulatorTest, SingleDomainMatchesReferenceEngineAtEveryShardCount) 
 TEST(ShardedSimulatorTest, SequencedModeMatchesReferenceToo) {
   const Trace expected = ReferenceRun(21, 6).trace;
   ShardedSimulator eng({4});
-  const DomainId d = eng.AddDomain("main");
+  Simulator& d = eng.AddDomain();
   Trace trace;
-  ChurnWorkload workload(eng.domain(d), trace, 21);
+  ChurnWorkload workload(d, trace, 21);
   workload.Start(6);
-  // RunUntilPredicate drives the sequenced path (one event at a time in
-  // global deterministic order); a never-true predicate drains the engine.
-  EXPECT_FALSE(eng.RunUntilPredicate([] { return false; }));
+  // A domain's RunUntilPredicate steps that domain alone, one event at a
+  // time; a never-true predicate drains it.
+  EXPECT_FALSE(d.RunUntilPredicate([] { return false; }));
   EXPECT_EQ(trace, expected);
 }
 
@@ -131,12 +131,12 @@ TEST(ShardedSimulatorTest, PredicateStopsAtTheSameEventAsTheReference) {
   run_prefix(plain, plain_trace, 33);
 
   ShardedSimulator eng({4});
-  const DomainId d = eng.AddDomain("main");
+  Simulator& d = eng.AddDomain();
   Trace sharded_trace;
-  run_prefix(eng.domain(d), sharded_trace, 33);
+  run_prefix(d, sharded_trace, 33);
 
   EXPECT_EQ(sharded_trace, plain_trace);
-  EXPECT_EQ(eng.domain(d).Now(), plain.Now());
+  EXPECT_EQ(d.Now(), plain.Now());
 }
 
 TEST(ShardedSimulatorTest, RunUntilAdvancesLikeTheReference) {
@@ -154,9 +154,8 @@ TEST(ShardedSimulatorTest, RunUntilAdvancesLikeTheReference) {
   const auto plain_mid = drive(plain, plain_trace, 11);
 
   ShardedSimulator eng({2});
-  const DomainId d = eng.AddDomain("main");
   Trace sharded_trace;
-  const auto sharded_mid = drive(eng.domain(d), sharded_trace, 11);
+  const auto sharded_mid = drive(eng.AddDomain(), sharded_trace, 11);
 
   EXPECT_EQ(sharded_mid, plain_mid);
   EXPECT_EQ(sharded_trace, plain_trace);
@@ -184,8 +183,7 @@ TEST(ShardedSimulatorTest, DriverSchedulingBetweenPhasesMatchesReference) {
   Simulator plain;
   const Trace expected = drive(plain);
   ShardedSimulator eng({4});
-  const DomainId d = eng.AddDomain("main");
-  EXPECT_EQ(drive(eng.domain(d)), expected);
+  EXPECT_EQ(drive(eng.AddDomain()), expected);
 }
 
 // ----------------------------------------------------------------------
@@ -200,53 +198,50 @@ TEST(ShardedSimulatorTest, IndependentDomainsFreeRunInASingleWindow) {
   const Reference ref_b = ReferenceRun(9, 6);
   for (int rep = 0; rep < 4; ++rep) {
     ShardedSimulator eng({2});
-    const DomainId a = eng.AddDomain("a");
-    const DomainId b = eng.AddDomain("b");
+    Simulator& a = eng.AddDomain();
+    Simulator& b = eng.AddDomain();
     Trace trace_a;
     Trace trace_b;
-    ChurnWorkload wa(eng.domain(a), trace_a, 5);
-    ChurnWorkload wb(eng.domain(b), trace_b, 9);
+    ChurnWorkload wa(a, trace_a, 5);
+    ChurnWorkload wb(b, trace_b, 9);
     wa.Start(6);
     wb.Start(6);
     eng.Run();
     EXPECT_EQ(eng.max_parallel_shards(), 2);
     EXPECT_EQ(trace_a, ref_a.trace) << "rep " << rep;
     EXPECT_EQ(trace_b, ref_b.trace) << "rep " << rep;
-    EXPECT_EQ(eng.domain(a).executed_events(), ref_a.executed);
-    EXPECT_EQ(eng.domain(b).executed_events(), ref_b.executed);
+    EXPECT_EQ(a.executed_events(), ref_a.executed);
+    EXPECT_EQ(b.executed_events(), ref_b.executed);
     EXPECT_TRUE(eng.Idle());
     eng.AuditInvariants();
   }
 }
 
 TEST(ShardedSimulatorTest, LaneClockIsPerDomain) {
-  // After a run each lane reads its own domain's last event time, whether
-  // the two domains share a shard (shards 1) or not (shards 2).
+  // After a run each domain reads its own last event time, whether the two
+  // domains share a shard (shards 1) or not (shards 2).
   for (const int shards : {1, 2}) {
     ShardedSimulator eng({shards});
-    const DomainId a = eng.AddDomain("a");
-    const DomainId b = eng.AddDomain("b");
-    eng.domain(a).ScheduleAt(Milliseconds(1), [] {});
-    eng.domain(b).ScheduleAt(Milliseconds(5), [] {});
+    Simulator& a = eng.AddDomain();
+    Simulator& b = eng.AddDomain();
+    a.ScheduleAt(Milliseconds(1), [] {});
+    b.ScheduleAt(Milliseconds(5), [] {});
     eng.Run();
-    ASSERT_EQ(eng.domain(a).Now(), Milliseconds(1)) << "shards=" << shards;
-    ASSERT_EQ(eng.domain(b).Now(), Milliseconds(5)) << "shards=" << shards;
+    ASSERT_EQ(a.Now(), Milliseconds(1)) << "shards=" << shards;
+    ASSERT_EQ(b.Now(), Milliseconds(5)) << "shards=" << shards;
     // 2 ms is in b's past but not in a's: a driver schedule into a is legal.
     SimTime fired_at = 0;
-    eng.domain(a).ScheduleAt(Milliseconds(2), [&eng, a, &fired_at] {
-      fired_at = eng.domain(a).Now();
-    });
+    a.ScheduleAt(Milliseconds(2), [&a, &fired_at] { fired_at = a.Now(); });
     eng.Run();
     EXPECT_EQ(fired_at, Milliseconds(2)) << "shards=" << shards;
-    EXPECT_EQ(eng.domain(b).Now(), Milliseconds(5)) << "shards=" << shards;
+    EXPECT_EQ(b.Now(), Milliseconds(5)) << "shards=" << shards;
   }
 }
 
 TEST(ShardedSimulatorTest, SingleDomainNeverLeavesTheCallerThread) {
   ShardedSimulator eng({8});
-  const DomainId d = eng.AddDomain("solo");
   int fired = 0;
-  eng.domain(d).ScheduleAfter(Milliseconds(1), [&fired] { ++fired; });
+  eng.AddDomain().ScheduleAfter(Milliseconds(1), [&fired] { ++fired; });
   eng.Run();
   EXPECT_EQ(fired, 1);
   // Only one shard has work: the inline fast path executes on the driver
@@ -254,51 +249,74 @@ TEST(ShardedSimulatorTest, SingleDomainNeverLeavesTheCallerThread) {
   EXPECT_EQ(eng.max_parallel_shards(), 1);
 }
 
+TEST(ShardedSimulatorTest, TombstoneOnlyDomainIsNotDispatched) {
+  ShardedSimulator eng({2});
+  Simulator& a = eng.AddDomain();
+  Simulator& b = eng.AddDomain();
+  // Leave b holding one cancelled record and nothing live: the tombstone is
+  // half of b's heap, below the sweep threshold, and the predicate stops b
+  // right after its live event, before the tombstone reaches the head.
+  bool b_fired = false;
+  b.ScheduleAt(Milliseconds(1), [&b_fired] { b_fired = true; });
+  EXPECT_TRUE(b.Cancel(b.ScheduleAt(Milliseconds(5), [] {})));
+  EXPECT_TRUE(b.RunUntilPredicate([&b_fired] { return b_fired; }));
+  ASSERT_EQ(b.cancelled_tombstones(), 1u);
+  int a_fired = 0;
+  a.ScheduleAfter(Milliseconds(1), [&a_fired] { ++a_fired; });
+  eng.Run();
+  EXPECT_EQ(a_fired, 1);
+  // Only a's shard had work: it drained inline, b's was never dispatched.
+  EXPECT_EQ(eng.max_parallel_shards(), 1);
+  EXPECT_TRUE(eng.Idle());
+}
+
 // ----------------------------------------------------------------------
 // Contract enforcement.
 // ----------------------------------------------------------------------
+
+// Every Simulator checks that a callback schedules and cancels only in its
+// own engine, so the check fires even with both domains on one shard and
+// one thread.
 
 TEST(ShardedSimulatorDeathTest, CrossDomainScheduleDies) {
   // Both domains on one shard: the run stays inline (no threads), which
   // keeps the death test on the fork-safe path.
   ShardedSimulator eng({1});
-  const DomainId a = eng.AddDomain("a");
-  const DomainId b = eng.AddDomain("b");
-  eng.domain(a).ScheduleAfter(0, [&eng, b] {
-    eng.domain(b).ScheduleAfter(Milliseconds(5), [] {});
-  });
+  Simulator& a = eng.AddDomain();
+  Simulator& b = eng.AddDomain();
+  a.ScheduleAfter(0, [&b] { b.ScheduleAfter(Milliseconds(5), [] {}); });
   EXPECT_DEATH(eng.Run(), "cross-domain schedule");
 }
 
 TEST(ShardedSimulatorDeathTest, CrossDomainCancelDies) {
   ShardedSimulator eng({1});
-  const DomainId a = eng.AddDomain("a");
-  const DomainId b = eng.AddDomain("b");
-  const EventId victim = eng.domain(b).ScheduleAt(Milliseconds(10), [] {});
-  eng.domain(a).ScheduleAfter(0, [&eng, b, victim] { eng.domain(b).Cancel(victim); });
+  Simulator& a = eng.AddDomain();
+  Simulator& b = eng.AddDomain();
+  const EventId victim = b.ScheduleAt(Milliseconds(10), [] {});
+  a.ScheduleAfter(0, [&b, victim] { b.Cancel(victim); });
   EXPECT_DEATH(eng.Run(), "cross-domain cancel");
 }
 
 TEST(ShardedSimulatorTest, HeavyCancelTrafficSweepsTombstones) {
   ShardedSimulator eng({2});
-  const DomainId d = eng.AddDomain("main");
+  Simulator& d = eng.AddDomain();
   std::vector<EventId> victims;
   victims.reserve(1000);
   for (int i = 0; i < 1000; ++i) {
-    victims.push_back(eng.domain(d).ScheduleAt(Milliseconds(100 + i), [] {}));
+    victims.push_back(d.ScheduleAt(Milliseconds(100 + i), [] {}));
   }
   int kept = 0;
-  eng.domain(d).ScheduleAt(Milliseconds(1), [&] {
+  d.ScheduleAt(Milliseconds(1), [&] {
     for (std::size_t i = 0; i < victims.size(); ++i) {
       if (i % 10 == 0) {
         ++kept;
         continue;
       }
-      EXPECT_TRUE(eng.domain(d).Cancel(victims[i]));
+      EXPECT_TRUE(d.Cancel(victims[i]));
     }
   });
   eng.Run();
-  EXPECT_EQ(eng.domain(d).executed_events(), static_cast<std::uint64_t>(kept) + 1);
+  EXPECT_EQ(d.executed_events(), static_cast<std::uint64_t>(kept) + 1);
   EXPECT_TRUE(eng.Idle());
   eng.AuditInvariants();
 }

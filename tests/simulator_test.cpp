@@ -241,6 +241,28 @@ TEST(SimulatorTest, SweepPreservesExecutionOrderAndPendingAccounting) {
   EXPECT_EQ(sim.cancelled_tombstones(), 0u);
 }
 
+TEST(SimulatorTest, IdleIgnoresCancelledTombstones) {
+  Simulator sim;
+  bool fired = false;
+  sim.ScheduleAt(Milliseconds(1), [&fired] { fired = true; });
+  // 1 tombstone of 2 records survives the sweep threshold, and the
+  // predicate stops right after the live event, before it reaches the head.
+  EXPECT_TRUE(sim.Cancel(sim.ScheduleAt(Milliseconds(5), [] {})));
+  EXPECT_TRUE(sim.RunUntilPredicate([&fired] { return fired; }));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.cancelled_tombstones(), 1u);
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(SimulatorDeathTest, CallbackSchedulingIntoAnotherEngineDies) {
+  // A callback is confined to its own engine; the driver may schedule into
+  // both.
+  Simulator a;
+  Simulator b;
+  a.ScheduleAfter(0, [&b] { b.ScheduleAfter(Milliseconds(1), [] {}); });
+  EXPECT_DEATH(a.Run(), "cross-domain schedule");
+}
+
 TEST(UnitsTest, Conversions) {
   EXPECT_EQ(Microseconds(1), Nanoseconds(1000));
   EXPECT_EQ(Milliseconds(1), Microseconds(1000));
