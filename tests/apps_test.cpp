@@ -3,6 +3,10 @@
 // evaluation depends on (Hoplite > Ray, Gloo ring > Hoplite on sync, etc.).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "apps/async_sgd.h"
 #include "apps/rl.h"
 #include "apps/serving.h"
@@ -203,6 +207,70 @@ TEST(SyncTrainingTest, PaperOrderingHolds) {
   // reduce+broadcast composition a further ~10% — see EXPERIMENTS.md.
   EXPECT_GT(hoplite, gloo * 0.55);
   EXPECT_LT(hoplite, gloo * 0.95);
+}
+
+// ----------------------------------------------------------------------
+// Golden fig12 timelines: the exactness oracle of the apps' failure
+// handling. Both §5.5 apps run on both backends with fig12's exact options
+// (kill, rejoin and detection delay included), and the bit patterns of every
+// per-query and per-round series are folded into an FNV-1a digest pinned
+// below. Any change to how the apps or the fault schedule react to a
+// failure must keep it bit for bit.
+// ----------------------------------------------------------------------
+
+SimDuration Fig12DetectionDelay(Backend backend) {
+  return backend == Backend::kHoplite ? Milliseconds(740) : Milliseconds(580);
+}
+
+ServingOptions Fig12Serving(Backend backend) {
+  ServingOptions options;
+  options.backend = backend;
+  options.num_nodes = 9;
+  options.num_queries = 70;
+  options.inference_compute = ComputeModel{Milliseconds(40), 0.1};
+  options.kill_node = 4;
+  options.kill_at = Seconds(2);
+  options.recover_at = Seconds(4);
+  options.detection_delay = Fig12DetectionDelay(backend);
+  return options;
+}
+
+AsyncSgdOptions Fig12Sgd(Backend backend) {
+  AsyncSgdOptions options;
+  options.backend = backend;
+  options.num_nodes = 7;
+  options.model_bytes = MB(97);
+  options.gradient_compute = ComputeModel{Milliseconds(150), 0.15};
+  options.rounds = 30;
+  options.kill_node = 3;
+  options.kill_at = Seconds(3);
+  options.recover_at = Seconds(7);
+  options.detection_delay = Fig12DetectionDelay(backend);
+  return options;
+}
+
+TEST(Fig12GoldenTest, FailureTimelinesArePinned) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+  auto fold = [&digest](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  auto fold_series = [&fold](const std::vector<double>& series) {
+    fold(series.size());
+    for (const double value : series) fold(std::bit_cast<std::uint64_t>(value));
+  };
+  for (const Backend backend : {Backend::kRay, Backend::kHoplite}) {
+    const auto serving = RunServing(Fig12Serving(backend));
+    EXPECT_EQ(serving.queries_completed, 70) << BackendName(backend);
+    fold_series(serving.query_latencies_s);
+    const auto sgd = RunAsyncSgd(Fig12Sgd(backend));
+    EXPECT_EQ(sgd.rounds_completed, 30) << BackendName(backend);
+    fold_series(sgd.round_latencies_s);
+    fold_series(sgd.round_end_times_s);
+  }
+  EXPECT_EQ(digest, 0xcf2da7e054e52689ULL) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
