@@ -15,6 +15,7 @@
 #include "apps/serving.h"
 #include "bench/registry.h"
 #include "common/units.h"
+#include "net/fabric.h"
 
 namespace hoplite::bench {
 namespace {
@@ -37,16 +38,21 @@ void AppendTimeline(std::vector<Row>& rows, const std::string& app, Backend back
   }
 }
 
+/// Fig12's one failure: `node` dies at `down` and rejoins at `up`.
+std::vector<net::FaultEvent> KillAndRejoin(NodeID node, SimTime down, SimTime up) {
+  return {{down, node, /*kill=*/true}, {up, node, /*kill=*/false}};
+}
+
 /// The failure window the timeline should be read against: consumers mark
 /// kill/rejoin on the plot and compare the latency spike to the detection
 /// delay (the Row value).
 void AppendFailureEvents(std::vector<Row>& rows, const std::string& app,
-                         Backend backend, SimDuration kill_at, SimDuration recover_at,
+                         Backend backend, const std::vector<net::FaultEvent>& faults,
                          SimDuration detection_delay) {
   rows.push_back(Row{.series = std::string(apps::BackendName(backend)) + " events",
                      .labels = {{"app", app}},
-                     .coords = {{"kill_at_s", ToSeconds(kill_at)},
-                                {"recover_at_s", ToSeconds(recover_at)}},
+                     .coords = {{"kill_at_s", ToSeconds(faults.front().at)},
+                                {"recover_at_s", ToSeconds(faults.back().at)}},
                      .value = ToSeconds(detection_delay)});
 }
 
@@ -58,17 +64,14 @@ void ServingTimeline(std::vector<Row>& rows, const RunOptions& opt, Backend back
   options.num_queries = opt.Rounds(70);
   options.query_bytes = opt.Bytes(options.query_bytes);
   options.inference_compute = apps::ComputeModel{Milliseconds(40), 0.1};
-  options.kill_node = static_cast<NodeID>(options.num_nodes / 2);
-  options.kill_at = Seconds(2);
-  options.recover_at = Seconds(4);
+  options.faults = KillAndRejoin(options.num_nodes / 2, Seconds(2), Seconds(4));
   options.detection_delay = DetectionDelay(backend);
   const auto result = apps::RunServing(options);
   std::vector<double> ends;
   double t = 0;
   for (const double latency : result.query_latencies_s) ends.push_back(t += latency);
   AppendTimeline(rows, "serving", backend, result.query_latencies_s, ends);
-  AppendFailureEvents(rows, "serving", backend, options.kill_at, options.recover_at,
-                      options.detection_delay);
+  AppendFailureEvents(rows, "serving", backend, options.faults, options.detection_delay);
 }
 
 void SgdTimeline(std::vector<Row>& rows, const RunOptions& opt, Backend backend) {
@@ -79,14 +82,12 @@ void SgdTimeline(std::vector<Row>& rows, const RunOptions& opt, Backend backend)
   options.model_bytes = opt.Bytes(MB(97));
   options.gradient_compute = apps::ComputeModel{Milliseconds(150), 0.15};
   options.rounds = opt.Rounds(30);
-  options.kill_node = static_cast<NodeID>(options.num_nodes / 2);
-  options.kill_at = Seconds(3);
-  options.recover_at = Seconds(7);
+  options.faults = KillAndRejoin(options.num_nodes / 2, Seconds(3), Seconds(7));
   options.detection_delay = DetectionDelay(backend);
   const auto result = apps::RunAsyncSgd(options);
   AppendTimeline(rows, "async_sgd", backend, result.round_latencies_s,
                  result.round_end_times_s);
-  AppendFailureEvents(rows, "async_sgd", backend, options.kill_at, options.recover_at,
+  AppendFailureEvents(rows, "async_sgd", backend, options.faults,
                       options.detection_delay);
 }
 

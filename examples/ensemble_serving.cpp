@@ -97,8 +97,8 @@ int main() {
       frontend.MaybeFinish();
     }
   });
-  cluster.simulator().ScheduleAt(Milliseconds(400), [&] { cluster.KillNode(5); });
-  cluster.simulator().ScheduleAt(Milliseconds(900), [&] { cluster.RecoverNode(5); });
+  cluster.ScheduleFaults({{.at = Milliseconds(400), .node = 5, .kill = true},
+                          {.at = Milliseconds(900), .node = 5, .kill = false}});
 
   frontend.Serve();
   cluster.RunAll();

@@ -57,7 +57,6 @@ struct HopliteSgd {
   SimTime round_start = 0;
   det::Set<std::uint64_t> awaiting_model;  ///< worker grads... nodes waiting
   int pending_broadcast = 0;
-  bool finished = false;
 
   void Run() {
     workers = options.num_nodes - 1;
@@ -68,7 +67,11 @@ struct HopliteSgd {
     auto* const self = this;
     membership = cluster.AddMembershipListener([self](NodeID node, bool alive) {
       self->worker_alive[static_cast<std::size_t>(node)] = alive;
-      if (!alive && self->awaiting_model.erase(static_cast<std::uint64_t>(node)) > 0) {
+      if (alive) {
+        // The rejoined worker resumes: recompute the gradient the server is
+        // still expecting (app-level lineage).
+        self->StartWorkerCompute(node);
+      } else if (self->awaiting_model.erase(static_cast<std::uint64_t>(node)) > 0) {
         // A worker died while fetching the model: don't block the round.
         self->OnModelDelivered();
       }
@@ -79,16 +82,7 @@ struct HopliteSgd {
       outstanding.push_back(GradId(w, 0));
       StartWorkerCompute(w);
     }
-    if (options.kill_node != kInvalidNode && options.recover_at > options.kill_at) {
-      cluster.simulator().ScheduleAt(
-          options.kill_at, [self] { self->cluster.KillNode(self->options.kill_node); });
-      cluster.simulator().ScheduleAt(options.recover_at, [self] {
-        self->cluster.RecoverNode(self->options.kill_node);
-        // The rejoined worker resumes: fetch the current model, recompute the
-        // gradient the server is still expecting (app-level lineage).
-        self->StartWorkerCompute(self->options.kill_node);
-      });
-    }
+    cluster.ScheduleFaults(options.faults);
     round_start = 0;
     StartServerRound();
     cluster.RunAll();
@@ -115,10 +109,7 @@ struct HopliteSgd {
   }
 
   void StartServerRound() {
-    if (round >= options.rounds) {
-      finished = true;
-      return;
-    }
+    if (round >= options.rounds) return;
     round_start = cluster.Now();
     auto* const self = this;
     core::ReduceSpec spec;
@@ -217,8 +208,7 @@ struct RaySgd {
   int workers = 0;
   int half = 0;
   std::vector<int> worker_round;
-  std::vector<bool> worker_alive;
-  std::vector<std::uint64_t> worker_epoch;
+  std::vector<std::uint64_t> worker_epoch;  ///< bumped when the worker rejoins
   int round = 0;
   SimTime round_start = 0;
   // The server's apply/broadcast pipeline is strictly serialized: arrivals
@@ -237,7 +227,6 @@ struct RaySgd {
     workers = options.num_nodes - 1;
     half = std::max(1, workers / 2);
     worker_round.assign(static_cast<std::size_t>(options.num_nodes), 0);
-    worker_alive.assign(static_cast<std::size_t>(options.num_nodes), true);
     worker_epoch.assign(static_cast<std::size_t>(options.num_nodes), 0);
 
     auto* const self = this;
@@ -245,29 +234,20 @@ struct RaySgd {
       StartWorkerCompute(w);
       SubscribeGradient(w, 0);
     }
-    if (options.kill_node != kInvalidNode && options.recover_at > options.kill_at) {
-      // The worker process dies instantly; the server notices one detection
-      // delay later (0.58 s stock Ray, §5.5).
-      sim.ScheduleAt(options.kill_at, [self] {
-        const NodeID w = self->options.kill_node;
-        self->worker_alive[static_cast<std::size_t>(w)] = false;
-        self->worker_epoch[static_cast<std::size_t>(w)] += 1;
-        self->net->FailNode(w);
-      });
-      sim.ScheduleAt(options.kill_at + options.detection_delay, [self] {
-        const NodeID w = self->options.kill_node;
-        if (self->awaiting_model.erase(static_cast<std::uint64_t>(w)) > 0) {
-          self->OnModelDelivered();
-        }
-      });
-      sim.ScheduleAt(options.recover_at, [self] {
-        const NodeID w = self->options.kill_node;
-        self->net->RecoverNode(w);
-        self->worker_alive[static_cast<std::size_t>(w)] = true;
-        self->StartWorkerCompute(w);
-        self->SubscribeGradient(w, self->worker_round[static_cast<std::size_t>(w)]);
-      });
-    }
+    // A worker process dies instantly; the server notices one detection
+    // delay later (0.58 s stock Ray, §5.5).
+    transport.ScheduleFaults(
+        options.faults, options.detection_delay, [self](NodeID node, bool alive) {
+          if (alive) {
+            // The rejoined worker resumes: recompute the gradient the server
+            // is still expecting (app-level lineage).
+            self->worker_epoch[static_cast<std::size_t>(node)] += 1;
+            self->StartWorkerCompute(node);
+            self->SubscribeGradient(node, self->worker_round[static_cast<std::size_t>(node)]);
+          } else if (self->awaiting_model.erase(static_cast<std::uint64_t>(node)) > 0) {
+            self->OnModelDelivered();
+          }
+        });
     round_start = 0;
     sim.Run();
 
@@ -280,12 +260,13 @@ struct RaySgd {
   }
 
   void StartWorkerCompute(NodeID w) {
-    if (!worker_alive[static_cast<std::size_t>(w)]) return;
+    if (net->IsFailed(w)) return;
     const SimDuration compute = options.gradient_compute.Sample(rng);
     const int expected_round = worker_round[static_cast<std::size_t>(w)];
     const std::uint64_t epoch = worker_epoch[static_cast<std::size_t>(w)];
     auto* const self = this;
     sim.ScheduleAfter(compute, [self, w, expected_round, epoch] {
+      if (self->net->IsFailed(w)) return;
       if (self->worker_epoch[static_cast<std::size_t>(w)] != epoch) return;
       if (self->worker_round[static_cast<std::size_t>(w)] != expected_round) return;
       self->transport.Put(w, GradId(w, expected_round), self->options.model_bytes);
@@ -337,7 +318,7 @@ struct RaySgd {
       self->pending_broadcast = 0;
       for (const std::uint64_t w64 : waiting) {
         const NodeID w = static_cast<NodeID>(w64);
-        if (!self->worker_alive[static_cast<std::size_t>(w)]) {
+        if (self->net->IsFailed(w)) {
           self->awaiting_model.erase(w64);
           continue;
         }

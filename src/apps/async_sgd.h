@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "apps/common.h"
-#include "common/ids.h"
 #include "common/units.h"
+#include "net/fabric.h"
 
 namespace hoplite::apps {
 
@@ -36,11 +36,11 @@ struct AsyncSgdOptions {
   int engine_shards = 1;
   std::uint64_t seed = 1;
 
-  /// Optional failure scenario (Figure 12b): kill `kill_node` at `kill_at`,
-  /// recover it at `recover_at` (0 = no failure).
-  NodeID kill_node = kInvalidNode;
-  SimDuration kill_at = 0;
-  SimDuration recover_at = 0;
+  /// Failure scenario (Figure 12b): workers to kill and rejoin, applied by
+  /// HopliteCluster::ScheduleFaults or RayLikeTransport::ScheduleFaults. A
+  /// rejoined worker recomputes the gradient the server still expects
+  /// (app-level lineage). Empty = no failure.
+  std::vector<net::FaultEvent> faults;
   /// Failure-detection latency (paper §5.5: 0.74 s with Hoplite, 0.58 s
   /// stock Ray).
   SimDuration detection_delay = Milliseconds(740);

@@ -35,7 +35,7 @@ namespace {
 // App backends are stack-owned and outlive Run()'s simulation drain, so
 // callbacks capture a plain `this`; callbacks a simulated node death parks
 // forever die with the cluster/simulator members, not with a shared_ptr
-// cycle (which used to keep the whole app alive past exit — see ROADMAP).
+// cycle.
 
 struct HopliteRl {
   explicit HopliteRl(const RlOptions& opt)

@@ -58,14 +58,7 @@ struct HopliteServing {
         self->MaybeFinishQuery();
       }
     });
-    if (options.kill_node != kInvalidNode && options.recover_at > options.kill_at) {
-      cluster.simulator().ScheduleAt(options.kill_at, [self] {
-        self->cluster.KillNode(self->options.kill_node);
-      });
-      cluster.simulator().ScheduleAt(options.recover_at, [self] {
-        self->cluster.RecoverNode(self->options.kill_node);
-      });
-    }
+    cluster.ScheduleFaults(options.faults);
     StartQuery();
     cluster.RunAll();
     result.queries_completed = query;
@@ -139,33 +132,18 @@ struct RayServing {
   int query = 0;
   SimTime query_start = 0;
   det::Set<std::uint64_t> awaiting_votes;
-  std::vector<bool> replica_alive;
   std::vector<bool> replica_known_alive;  ///< frontend's (delayed) view
 
   void Run() {
-    replica_alive.assign(static_cast<std::size_t>(options.num_nodes), true);
     replica_known_alive.assign(static_cast<std::size_t>(options.num_nodes), true);
     auto* const self = this;
-    if (options.kill_node != kInvalidNode && options.recover_at > options.kill_at) {
-      sim.ScheduleAt(options.kill_at, [self] {
-        const NodeID n = self->options.kill_node;
-        self->replica_alive[static_cast<std::size_t>(n)] = false;
-        self->net->FailNode(n);
-      });
-      sim.ScheduleAt(options.kill_at + options.detection_delay, [self] {
-        const NodeID n = self->options.kill_node;
-        self->replica_known_alive[static_cast<std::size_t>(n)] = false;
-        if (self->awaiting_votes.erase(static_cast<std::uint64_t>(n)) > 0) {
-          self->MaybeFinishQuery();
-        }
-      });
-      sim.ScheduleAt(options.recover_at, [self] {
-        const NodeID n = self->options.kill_node;
-        self->net->RecoverNode(n);
-        self->replica_alive[static_cast<std::size_t>(n)] = true;
-        self->replica_known_alive[static_cast<std::size_t>(n)] = true;
-      });
-    }
+    transport.ScheduleFaults(
+        options.faults, options.detection_delay, [self](NodeID node, bool alive) {
+          self->replica_known_alive[static_cast<std::size_t>(node)] = alive;
+          if (!alive && self->awaiting_votes.erase(static_cast<std::uint64_t>(node)) > 0) {
+            self->MaybeFinishQuery();
+          }
+        });
     StartQuery();
     sim.Run();
     result.queries_completed = query;
@@ -187,10 +165,10 @@ struct RayServing {
         self->awaiting_votes.insert(static_cast<std::uint64_t>(replica));
         // Unicast fetch of the batch by each replica (no broadcast tree).
         self->transport.Get(replica, QueryId(q)).Then([self, replica, q] {
-          if (!self->replica_alive[static_cast<std::size_t>(replica)]) return;
+          if (self->net->IsFailed(replica)) return;
           const SimDuration infer = self->options.inference_compute.Sample(self->rng);
           self->sim.ScheduleAfter(infer, [self, replica, q] {
-            if (!self->replica_alive[static_cast<std::size_t>(replica)]) return;
+            if (self->net->IsFailed(replica)) return;
             self->transport.Put(replica, VoteId(replica, q),
                                 self->options.vote_bytes);
           });

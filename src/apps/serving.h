@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "apps/common.h"
-#include "common/ids.h"
 #include "common/units.h"
+#include "net/fabric.h"
 
 namespace hoplite::apps {
 
@@ -39,11 +39,12 @@ struct ServingOptions {
   /// contract; baseline backends ignore it.
   int engine_shards = 1;
 
-  /// Optional failure scenario (Figure 12a).
-  NodeID kill_node = kInvalidNode;
-  SimDuration kill_at = 0;
-  SimDuration recover_at = 0;
-  /// §5.5: 0.74 s with Hoplite, 0.58 s stock Ray.
+  /// Failure scenario (Figure 12a): replicas to kill and rejoin, applied
+  /// by HopliteCluster::ScheduleFaults or RayLikeTransport::ScheduleFaults.
+  /// Empty = no failure.
+  std::vector<net::FaultEvent> faults;
+  /// How long the frontend takes to notice a replica died; §5.5: 0.74 s
+  /// with Hoplite, 0.58 s stock Ray.
   SimDuration detection_delay = Milliseconds(740);
 };
 

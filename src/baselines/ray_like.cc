@@ -107,6 +107,24 @@ Ref<SimTime> RayLikeTransport::Allreduce(NodeID root, const std::vector<ObjectID
   });
 }
 
+void RayLikeTransport::ScheduleFaults(const std::vector<net::FaultEvent>& faults,
+                                      SimDuration detection_delay,
+                                      const std::function<void(NodeID, bool)>& listener) {
+  for (const net::FaultEvent& fault : faults) {
+    const NodeID node = fault.node;
+    if (fault.kill) {
+      sim_.ScheduleAt(fault.at, [this, node] { net_.FailNode(node); });
+      sim_.ScheduleAt(fault.at + detection_delay,
+                      [listener, node] { listener(node, /*alive=*/false); });
+    } else {
+      sim_.ScheduleAt(fault.at, [this, listener, node] {
+        net_.RecoverNode(node);
+        listener(node, /*alive=*/true);
+      });
+    }
+  }
+}
+
 template <typename T>
 Ref<SimTime> RayLikeTransport::Stamped(const Ref<T>& op) {
   RefPromise<SimTime> done(&sim_, ObjectID{});

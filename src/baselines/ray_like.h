@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -100,7 +101,14 @@ class RayLikeTransport {
                          ObjectID target, std::int64_t size,
                          const std::vector<NodeID>& receivers);
 
-  [[nodiscard]] bool Has(ObjectID object) const { return objects_.count(object) > 0; }
+  /// Schedules `faults` on the fabric, all events now and in list order. A
+  /// kill fails the node's endpoint at its instant, and `listener` hears
+  /// (node, false) `detection_delay` later; a recovery restores the endpoint
+  /// and `listener` hears (node, true) at once, like HopliteCluster's
+  /// membership listeners.
+  void ScheduleFaults(const std::vector<net::FaultEvent>& faults,
+                      SimDuration detection_delay,
+                      const std::function<void(NodeID, bool alive)>& listener);
 
  private:
   struct Meta {

@@ -77,14 +77,6 @@ class Rng {
     return -mean * std::log(1.0 - NextDouble());
   }
 
-  /// Standard normal via Box–Muller (deterministic; no cached spare).
-  [[nodiscard]] double NextGaussian(double mean, double stddev) noexcept {
-    const double u1 = 1.0 - NextDouble();
-    const double u2 = NextDouble();
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    return mean + stddev * mag * std::cos(2.0 * 3.14159265358979323846 * u2);
-  }
-
   /// Fisher–Yates shuffle of a random-access container.
   template <typename Container>
   void Shuffle(Container& items) noexcept {

@@ -34,6 +34,7 @@ store::LocalStore& HopliteClient::local_store() { return cluster_.store(node_); 
 Ref<ObjectID> HopliteClient::Put(ObjectID object, store::Buffer payload,
                                  qos::TenantId tenant) {
   RefPromise<ObjectID> promise(&cluster_.simulator(), object);
+  if (DoomIfDead(promise)) return promise.ref();
   TrackPromise(promise);
   Admit(tenant, promise,
         [this, object, tenant, payload = std::move(payload), promise]() mutable {
@@ -44,6 +45,7 @@ Ref<ObjectID> HopliteClient::Put(ObjectID object, store::Buffer payload,
 
 Ref<store::Buffer> HopliteClient::Get(ObjectID object, GetOptions options) {
   RefPromise<store::Buffer> promise(&cluster_.simulator(), object);
+  if (DoomIfDead(promise)) return promise.ref();
   TrackGetPromise(object, promise);
   Admit(options.tenant, promise,
         [this, object, options, promise] { IssueGet(object, options, promise); });
@@ -66,6 +68,7 @@ Ref<store::Buffer> HopliteClient::Get(ObjectID object, GetOptions options) {
 
 Ref<ObjectID> HopliteClient::Delete(ObjectID object) {
   RefPromise<ObjectID> promise(&cluster_.simulator(), object);
+  if (DoomIfDead(promise)) return promise.ref();
   TrackPromise(promise);
   const std::uint64_t inc = incarnation_;
   cluster_.directory().DeleteObject(
@@ -92,6 +95,7 @@ Ref<ReduceResult> HopliteClient::Reduce(ReduceSpec spec) {
     spec.num_objects = spec.sources.size();
   }
   RefPromise<ReduceResult> promise(&cluster_.simulator(), spec.target);
+  if (DoomIfDead(promise)) return promise.ref();
   TrackPromise(promise);
   const qos::TenantId tenant = spec.tenant;
   Admit(tenant, promise, [this, spec = std::move(spec), promise]() mutable {
@@ -105,6 +109,19 @@ Ref<ReduceResult> HopliteClient::Reduce(ReduceSpec spec) {
     raw->Start();
   });
   return promise.ref();
+}
+
+template <typename T>
+bool HopliteClient::DoomIfDead(const RefPromise<T>& promise) {
+  if (cluster_.IsAlive(node_)) return false;
+  // Observed deaths pop their batch, so the back one, if any, is this death's.
+  if (doomed_batches_.empty()) {
+    promise.Reject(RefError{RefErrorCode::kProducerLost,
+                            "op issued on dead node " + std::to_string(node_)});
+  } else {
+    doomed_batches_.back().emplace_back(promise);
+  }
+  return true;
 }
 
 void HopliteClient::TrackGetPromise(ObjectID object,
@@ -889,10 +906,8 @@ void HopliteClient::OnKilled() {
   // death gets its own batch so back-to-back deaths reject independently.
   std::vector<TrackedPromise> batch;
   for (const ObjectID object : det::SortedKeys(get_promises_)) {
-    for (auto& promise : get_promises_.find(object)->second) {
-      batch.push_back(TrackedPromise{
-          [promise] { return promise.settled(); },
-          [promise](const RefError& error) { promise.Reject(error); }});
+    for (const auto& promise : get_promises_.find(object)->second) {
+      batch.emplace_back(promise);
     }
   }
   get_promises_.clear();

@@ -26,7 +26,9 @@
 // finishes (see core/ref.h), so the future surface adds no events and no
 // latency. When this node is killed, its still-pending refs fail with
 // kProducerLost at the instant the rest of the cluster observes the death
-// (the failure-detection delay of §5.5).
+// (the failure-detection delay of §5.5). An op issued on a dead node never
+// starts: its ref fails the same way, at once if the death was already
+// observed.
 //
 // Everything else on this class is protocol machinery: push/fetch sessions
 // for chunk-pipelined object transfer, reduce session routing, and failure
@@ -246,6 +248,11 @@ class HopliteClient {
   struct TrackedPromise {
     std::function<bool()> settled;
     std::function<void(const RefError&)> reject;
+
+    template <typename T>
+    explicit TrackedPromise(const RefPromise<T>& promise)
+        : settled([promise] { return promise.settled(); }),
+          reject([promise](const RefError& error) { promise.Reject(error); }) {}
   };
 
   /// Registers a pending Get promise (also failed by a Delete of `object`).
@@ -254,10 +261,13 @@ class HopliteClient {
   template <typename T>
   void TrackPromise(const RefPromise<T>& promise) {
     PrunePromises();
-    misc_promises_.push_back(TrackedPromise{
-        [promise] { return promise.settled(); },
-        [promise](const RefError& error) { promise.Reject(error); }});
+    misc_promises_.emplace_back(promise);
   }
+  /// Keeps an op issued on a dead node from starting: returns true after
+  /// parking `promise` with the refs that die with this node (rejected when
+  /// the death is observed), or rejecting it at once if it already was.
+  template <typename T>
+  bool DoomIfDead(const RefPromise<T>& promise);
   /// Drops settled entries (amortized cleanup, called on registration).
   void PrunePromises();
   /// Fails every pending get promise of `object` (Delete observed locally).
@@ -370,8 +380,9 @@ class HopliteClient {
   /// Pending Get promises by object (failed by Delete or node death) and
   /// all other pending promises (failed by node death). OnKilled moves both
   /// into a fresh doomed batch; the matching OnDeathObserved (one detection
-  /// delay later) rejects exactly that batch. Batches are FIFO per death, so
-  /// a kill/recover/kill sequence inside one detection window fails each
+  /// delay later) rejects exactly that batch, plus any op issued on the dead
+  /// node meanwhile (DoomIfDead). Batches are FIFO per death, so a
+  /// kill/recover/kill sequence inside one detection window fails each
   /// incarnation's refs at its own death's observation instant.
   std::unordered_map<ObjectID, std::vector<RefPromise<store::Buffer>>> get_promises_;
   std::vector<TrackedPromise> misc_promises_;

@@ -93,6 +93,21 @@ void HopliteCluster::RecoverNode(NodeID node) {
   NotifyMembership(node, /*alive=*/true);
 }
 
+void HopliteCluster::ApplyFault(NodeID node, bool kill) {
+  if (kill != IsAlive(node)) return;
+  if (kill) {
+    KillNode(node);
+  } else {
+    RecoverNode(node);
+  }
+}
+
+void HopliteCluster::ScheduleFaults(const std::vector<net::FaultEvent>& faults) {
+  for (const net::FaultEvent& fault : faults) {
+    sim_.ScheduleAt(fault.at, [this, fault] { ApplyFault(fault.node, fault.kill); });
+  }
+}
+
 void HopliteCluster::NotifyMembership(NodeID node, bool alive) {
   // Snapshot: a listener may add or remove subscriptions while running.
   std::vector<std::uint64_t> ids;

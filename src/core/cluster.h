@@ -1,7 +1,8 @@
 // HopliteCluster: assembles the whole simulated system — event engine,
 // network fabric, per-node stores, the object directory, and one Hoplite
 // client per node — and provides the failure-injection surface (KillNode /
-// RecoverNode) that the fault-tolerance evaluation uses.
+// RecoverNode, or a whole net::FaultEvent schedule) that the fault-tolerance
+// evaluation uses.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +90,12 @@ class HopliteCluster {
 
   /// Brings a node back with an empty store and a fresh client state.
   void RecoverNode(NodeID node);
+
+  /// Applies one fault-schedule entry now: KillNode when `kill`, else
+  /// RecoverNode; a no-op when the node is already in that state.
+  void ApplyFault(NodeID node, bool kill);
+  /// Schedules ApplyFault for every entry of `faults` at its instant.
+  void ScheduleFaults(const std::vector<net::FaultEvent>& faults);
 
   [[nodiscard]] bool IsAlive(NodeID node) const;
 

@@ -113,6 +113,15 @@ struct ClusterConfig {
 using TransferId = std::uint64_t;
 inline constexpr TransferId kInvalidTransfer = 0;
 
+/// One entry of a fault schedule: kill (or recover) a node at a fixed
+/// simulated instant. Every failure experiment names its failures as a list
+/// of these: the scenarios, the §5.5 apps on both backends, the examples.
+struct FaultEvent {
+  SimTime at = 0;
+  NodeID node = 0;
+  bool kill = true;  ///< false = recover the node (fresh stores, new incarnation)
+};
+
 /// Per-node traffic counters, exposed for tests and benches.
 struct NodeTrafficStats {
   std::int64_t bytes_sent = 0;

@@ -121,15 +121,7 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
     return done;
   }
 
-  void InjectFault(NodeID node, bool kill) override {
-    // A schedule may repeat a node's current state; that event is a no-op.
-    const bool alive = cluster_.IsAlive(node);
-    if (kill && alive) {
-      cluster_.KillNode(node);
-    } else if (!kill && !alive) {
-      cluster_.RecoverNode(node);
-    }
-  }
+  void InjectFault(NodeID node, bool kill) override { cluster_.ApplyFault(node, kill); }
 
   [[nodiscard]] StoreHighWater store_high_water() override {
     StoreHighWater hw;

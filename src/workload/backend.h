@@ -43,9 +43,10 @@ class WorkloadBackend {
   /// killed producers) reject the ref instead of parking it.
   [[nodiscard]] virtual Ref<Unit> Issue(const WorkloadOp& op) = 0;
 
-  /// Applies one `FaultEvent` at the current instant: kill = true takes the
-  /// node down (in-flight transfers fail, its ops reject), kill = false
-  /// brings it back with fresh stores. Default: no failure model, ignored.
+  /// Applies one `net::FaultEvent` at the current instant: kill = true takes
+  /// the node down (in-flight transfers fail, its ops reject), kill = false
+  /// brings it back with fresh stores (HopliteCluster::ApplyFault on the
+  /// Hoplite backend). Default: no failure model, ignored.
   virtual void InjectFault(NodeID node, bool kill) { (void)node, (void)kill; }
 
   [[nodiscard]] virtual StoreHighWater store_high_water() { return {}; }

@@ -101,7 +101,7 @@ LoadReport RunTrace(const WorkloadTrace& trace, WorkloadBackend& backend) {
   }
 
   // The fault schedule fires independently of op traffic.
-  for (const FaultEvent& fault : spec.faults) {
+  for (const net::FaultEvent& fault : spec.faults) {
     sim.ScheduleAt(fault.at,
                    [&backend, fault] { backend.InjectFault(fault.node, fault.kill); });
   }

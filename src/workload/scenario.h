@@ -141,17 +141,6 @@ struct TenantSpec {
   bool closed_loop = false;
 };
 
-/// One entry of a scenario's fault schedule: kill (or recover) a node at a
-/// fixed simulated instant. Lowered by the driver into
-/// `WorkloadBackend::InjectFault`; backends without a failure model ignore
-/// it. Ops issued to a dead node reject immediately (kProducerLost) and
-/// count as failures in the report.
-struct FaultEvent {
-  SimTime at = 0;
-  NodeID node = 0;
-  bool kill = true;  ///< false = recover the node (fresh stores, new incarnation)
-};
-
 /// A whole multi-tenant workload.
 struct ScenarioSpec {
   std::string name = "scenario";
@@ -173,8 +162,10 @@ struct ScenarioSpec {
   /// workload tenant index doubles as the qos::TenantId. All-off default
   /// reproduces the pre-QoS fabric bit for bit.
   qos::QosConfig qos;
-  /// Kill/recover schedule applied during the run (Hoplite backend only).
-  std::vector<FaultEvent> faults;
+  /// Kill/recover schedule applied during the run (Hoplite backend only). Ops
+  /// issued to a dead node reject at once (kProducerLost) and count as
+  /// failures in the report.
+  std::vector<net::FaultEvent> faults;
   std::vector<TenantSpec> tenants;
 };
 

@@ -12,9 +12,15 @@
 #include "apps/serving.h"
 #include "apps/sync_training.h"
 #include "common/units.h"
+#include "net/fabric.h"
 
 namespace hoplite::apps {
 namespace {
+
+/// One failure: `node` dies at `down` and rejoins at `up`.
+std::vector<net::FaultEvent> KillAndRejoin(NodeID node, SimTime down, SimTime up) {
+  return {{down, node, /*kill=*/true}, {up, node, /*kill=*/false}};
+}
 
 AsyncSgdOptions SgdBase(Backend backend) {
   AsyncSgdOptions options;
@@ -69,9 +75,7 @@ TEST(AsyncSgdTest, FailureRunProducesLatencySpikesAndRecovers) {
   auto options = SgdBase(Backend::kHoplite);
   options.num_nodes = 7;  // 6 workers, like §5.5
   options.rounds = 20;
-  options.kill_node = 3;
-  options.kill_at = Seconds(2);
-  options.recover_at = Seconds(6);
+  options.faults = KillAndRejoin(3, Seconds(2), Seconds(6));
   const auto result = RunAsyncSgd(options);
   EXPECT_EQ(result.rounds_completed, 20);
   // All rounds completed despite the failure; latencies stay finite.
@@ -85,9 +89,7 @@ TEST(AsyncSgdTest, RayFailureRunCompletes) {
   auto options = SgdBase(Backend::kRay);
   options.num_nodes = 7;
   options.rounds = 20;
-  options.kill_node = 3;
-  options.kill_at = Seconds(2);
-  options.recover_at = Seconds(10);
+  options.faults = KillAndRejoin(3, Seconds(2), Seconds(10));
   options.detection_delay = Milliseconds(580);
   const auto result = RunAsyncSgd(options);
   EXPECT_EQ(result.rounds_completed, 20);
@@ -150,9 +152,7 @@ TEST(ServingTest, FailureRunRecordsTimelineAndRecovers) {
   options.num_nodes = 9;
   options.num_queries = 40;
   options.inference_compute = ComputeModel{Milliseconds(40), 0.1};
-  options.kill_node = 4;
-  options.kill_at = Seconds(2);
-  options.recover_at = Seconds(5);
+  options.faults = KillAndRejoin(4, Seconds(2), Seconds(5));
   const auto result = RunServing(options);
   EXPECT_EQ(result.queries_completed, 40);
   EXPECT_EQ(result.query_latencies_s.size(), 40u);
@@ -162,6 +162,46 @@ TEST(ServingTest, FailureRunRecordsTimelineAndRecovers) {
     if (latency > 0.5) ++spikes;
   }
   EXPECT_EQ(spikes, 1);
+}
+
+TEST(ServingTest, RayFailureRunRecordsTimelineAndRecovers) {
+  ServingOptions options;
+  options.backend = Backend::kRay;
+  options.num_nodes = 9;
+  options.num_queries = 40;
+  options.inference_compute = ComputeModel{Milliseconds(40), 0.1};
+  options.faults = KillAndRejoin(4, Seconds(2), Seconds(5));
+  options.detection_delay = Milliseconds(580);
+  const auto result = RunServing(options);
+  EXPECT_EQ(result.queries_completed, 40);
+  ASSERT_EQ(result.query_latencies_s.size(), 40u);
+  // Exactly one query absorbs the detection delay. Queries run back to
+  // back, so each one ends at the running sum of the latencies.
+  int spikes = 0;
+  double end_s = 0;
+  double before_sum = 0;
+  double out_sum = 0;
+  int before = 0;
+  int out = 0;
+  for (const double latency : result.query_latencies_s) {
+    end_s += latency;
+    if (latency > 0.5) {
+      ++spikes;
+    } else if (end_s < 2.0) {
+      before_sum += latency;
+      ++before;
+    } else if (end_s > 2.58 && end_s < 5.0) {
+      out_sum += latency;
+      ++out;
+    }
+  }
+  EXPECT_EQ(spikes, 1);
+  ASSERT_GT(before, 0);
+  ASSERT_GT(out, 0);
+  // §5.5: while the replica is out (observed at 2.58 s, rejoined at 5 s),
+  // Ray Serve unicasts the batch to one receiver fewer, so queries get
+  // faster.
+  EXPECT_LT(out_sum / out, before_sum / before);
 }
 
 TEST(SyncTrainingTest, AllBackendsComplete) {
@@ -228,9 +268,7 @@ ServingOptions Fig12Serving(Backend backend) {
   options.num_nodes = 9;
   options.num_queries = 70;
   options.inference_compute = ComputeModel{Milliseconds(40), 0.1};
-  options.kill_node = 4;
-  options.kill_at = Seconds(2);
-  options.recover_at = Seconds(4);
+  options.faults = KillAndRejoin(4, Seconds(2), Seconds(4));
   options.detection_delay = Fig12DetectionDelay(backend);
   return options;
 }
@@ -242,9 +280,7 @@ AsyncSgdOptions Fig12Sgd(Backend backend) {
   options.model_bytes = MB(97);
   options.gradient_compute = ComputeModel{Milliseconds(150), 0.15};
   options.rounds = 30;
-  options.kill_node = 3;
-  options.kill_at = Seconds(3);
-  options.recover_at = Seconds(7);
+  options.faults = KillAndRejoin(3, Seconds(3), Seconds(7));
   options.detection_delay = Fig12DetectionDelay(backend);
   return options;
 }
@@ -271,6 +307,55 @@ TEST(Fig12GoldenTest, FailureTimelinesArePinned) {
     fold_series(sgd.round_end_times_s);
   }
   EXPECT_EQ(digest, 0xcf2da7e054e52689ULL) << std::hex << "digest 0x" << digest;
+}
+
+TEST(AsyncSgdTest, Fig12KillSweepCompletesEveryRun) {
+  // A gradient compute that ends inside the detection window must not Put
+  // on the dead worker: the entry would outlive the rejoin, and the
+  // rejoined worker's own Put of that gradient would abort ("object
+  // already exists").
+  for (const Backend backend : {Backend::kRay, Backend::kHoplite}) {
+    for (SimTime kill = Seconds(2); kill < Milliseconds(2100); kill += Milliseconds(7)) {
+      AsyncSgdOptions options = Fig12Sgd(backend);
+      options.faults = KillAndRejoin(3, kill, kill + Seconds(4));
+      const auto result = RunAsyncSgd(options);
+      EXPECT_EQ(result.rounds_completed, 30)
+          << BackendName(backend) << " kill at " << ToSeconds(kill) << " s";
+    }
+  }
+}
+
+/// Two kill/rejoin cycles of one node, each rejoin after its death is
+/// observed.
+std::vector<net::FaultEvent> TwoFailureCycles(NodeID node) {
+  return {{Seconds(1), node, /*kill=*/true},
+          {Seconds(2), node, /*kill=*/false},
+          {Milliseconds(2500), node, /*kill=*/true},
+          {Milliseconds(3500), node, /*kill=*/false}};
+}
+
+TEST(ServingTest, TwoFailureCyclesCompleteEveryQueryOnBothBackends) {
+  for (const Backend backend : {Backend::kRay, Backend::kHoplite}) {
+    ServingOptions options = Fig12Serving(backend);
+    options.faults = TwoFailureCycles(4);
+    const auto result = RunServing(options);
+    EXPECT_EQ(result.queries_completed, 70) << BackendName(backend);
+    // Each death stalls exactly one query until it is observed.
+    int spikes = 0;
+    for (const double latency : result.query_latencies_s) {
+      if (latency > 0.5) ++spikes;
+    }
+    EXPECT_EQ(spikes, 2) << BackendName(backend);
+  }
+}
+
+TEST(AsyncSgdTest, TwoFailureCyclesCompleteEveryRoundOnBothBackends) {
+  for (const Backend backend : {Backend::kRay, Backend::kHoplite}) {
+    AsyncSgdOptions options = Fig12Sgd(backend);
+    options.faults = TwoFailureCycles(3);
+    const auto result = RunAsyncSgd(options);
+    EXPECT_EQ(result.rounds_completed, 30) << BackendName(backend);
+  }
 }
 
 }  // namespace

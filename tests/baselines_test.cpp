@@ -282,10 +282,14 @@ TEST(RayLikeTest, ReduceFetchesEverythingToRoot) {
     done_at = sim.Now();
   });
   sim.Run();
-  EXPECT_TRUE(ray.Has(ObjectID::FromName("sum")));
   // 7 remote objects through one ingress at effective bandwidth.
   const double lower = 7 * ToSeconds(TransferTime(MB(64), Gbps(10))) / 0.55;
   EXPECT_GT(ToSeconds(done_at), lower * 0.95);
+  // The result object was stored: a later Get of it resolves.
+  bool fetched = false;
+  ray.Get(0, ObjectID::FromName("sum")).Then([&] { fetched = true; });
+  sim.Run();
+  EXPECT_TRUE(fetched);
 }
 
 TEST(RayLikeTest, DaskIsSlowerThanRay) {

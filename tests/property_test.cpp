@@ -111,8 +111,8 @@ TEST_P(ReduceFailureProperty, FailedContributionNeverLeaks) {
   }
   // Kill a random non-caller node somewhere inside the reduce window.
   const NodeID victim = static_cast<NodeID>(rng.NextInRange(1, nodes - 1));
-  const SimDuration kill_at = Milliseconds(rng.NextInRange(20, 180));
-  cluster.simulator().ScheduleAt(kill_at, [&] {
+  const SimDuration kill_time = Milliseconds(rng.NextInRange(20, 180));
+  cluster.simulator().ScheduleAt(kill_time, [&] {
     if (cluster.IsAlive(victim)) cluster.KillNode(victim);
   });
 
@@ -126,7 +126,7 @@ TEST_P(ReduceFailureProperty, FailedContributionNeverLeaks) {
   cluster.RunAll();
 
   ASSERT_TRUE(result.has_value())
-      << "nodes=" << nodes << " victim=" << victim << " kill=" << ToSeconds(kill_at);
+      << "nodes=" << nodes << " victim=" << victim << " kill=" << ToSeconds(kill_time);
   ASSERT_TRUE(value.has_value());
   EXPECT_EQ(result->reduced.size(), static_cast<std::size_t>(reduce_count));
   // Exactly-once: the value equals the sum over the reported reduced set.
@@ -167,15 +167,15 @@ TEST_P(BroadcastFailureProperty, SurvivorsAllReceiveCorrectPayload) {
   // Kill one random receiver (never the origin) mid-broadcast; it may be an
   // intermediate sender in the distribution tree.
   const NodeID victim = static_cast<NodeID>(rng.NextInRange(1, nodes - 1));
-  const SimDuration kill_at = Milliseconds(rng.NextInRange(1, 12));
-  cluster.simulator().ScheduleAt(kill_at, [&] { cluster.KillNode(victim); });
+  const SimDuration kill_time = Milliseconds(rng.NextInRange(1, 12));
+  cluster.simulator().ScheduleAt(kill_time, [&] { cluster.KillNode(victim); });
   cluster.RunAll();
 
   for (NodeID r = 1; r < nodes; ++r) {
     if (r == victim) continue;
     EXPECT_TRUE(received[static_cast<std::size_t>(r)])
         << "receiver " << r << " starved after victim " << victim << " died at "
-        << ToMilliseconds(kill_at) << " ms (nodes=" << nodes << ")";
+        << ToMilliseconds(kill_time) << " ms (nodes=" << nodes << ")";
   }
 }
 

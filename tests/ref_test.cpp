@@ -357,6 +357,39 @@ TEST(RefFailureTest, RecoveredIncarnationRefsAreNotSweptByOldDeath) {
   EXPECT_EQ(fresh_value->size(), MB(1));
 }
 
+TEST(RefFailureTest, OpsOnAKilledNodeNeverStartAndTheRejoinStartsEmpty) {
+  // A Put issued on a node that is dead but whose death is not yet observed
+  // must not start: it would re-create a store entry after the kill wiped
+  // the store, and the rejoined node's own Put of that id would abort.
+  core::HopliteCluster cluster(TestOptions(2));
+  const ObjectID id = ObjectID::FromName("grad");
+  cluster.KillNode(1);  // observed at 100 ms
+  std::optional<RefError> put_error;
+  SimTime failed_at = 0;
+  cluster.simulator().ScheduleAt(Milliseconds(10), [&] {
+    cluster.client(1).Put(id, MakeValue(1.0f)).OnError([&](const RefError& error) {
+      put_error = error;
+      failed_at = cluster.Now();
+    });
+  });
+  cluster.RunAll();
+  ASSERT_TRUE(put_error.has_value());
+  EXPECT_EQ(put_error->code, RefErrorCode::kProducerLost);
+  EXPECT_EQ(failed_at, Milliseconds(100));
+  // Once the death is observed, an op issued there fails at once.
+  EXPECT_TRUE(cluster.client(1).Get(id).failed());
+  EXPECT_TRUE(cluster.client(1).Delete(id).failed());
+  const core::ReduceSpec sum{.target = ObjectID::FromName("sum"), .sources = {id}};
+  EXPECT_TRUE(cluster.client(1).Reduce(sum).failed());
+
+  cluster.RecoverNode(1);
+  EXPECT_TRUE(cluster.store(1).ListObjects().empty());
+  bool stored = false;
+  cluster.client(1).Put(id, MakeValue(2.0f)).Then([&] { stored = true; });
+  cluster.RunAll();
+  EXPECT_TRUE(stored);
+}
+
 // ----------------------------------------------------------------------
 // RAII membership subscriptions (satellite).
 // ----------------------------------------------------------------------

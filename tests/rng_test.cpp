@@ -74,22 +74,6 @@ TEST(RngTest, ExponentialMeanRoughlyCorrect) {
   EXPECT_NEAR(sum / kSamples, 2.0, 0.05);
 }
 
-TEST(RngTest, GaussianMomentsRoughlyCorrect) {
-  Rng rng(29);
-  double sum = 0;
-  double sum_sq = 0;
-  constexpr int kSamples = 100'000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = rng.NextGaussian(5.0, 2.0);
-    sum += x;
-    sum_sq += x * x;
-  }
-  const double mean = sum / kSamples;
-  const double var = sum_sq / kSamples - mean * mean;
-  EXPECT_NEAR(mean, 5.0, 0.05);
-  EXPECT_NEAR(var, 4.0, 0.1);
-}
-
 TEST(RngTest, ShuffleIsAPermutation) {
   Rng rng(31);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};

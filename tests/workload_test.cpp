@@ -227,8 +227,8 @@ TEST(WorkloadDriverTest, FaultScheduleKillsAndRecoversMidRun) {
   spec.num_nodes = 4;
   spec.horizon = Milliseconds(90);
   spec.seed = 6;
-  spec.faults.push_back(FaultEvent{Milliseconds(30), 1, /*kill=*/true});
-  spec.faults.push_back(FaultEvent{Milliseconds(60), 1, /*kill=*/false});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(30), 1, /*kill=*/true});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(60), 1, /*kill=*/false});
   TenantSpec tenant;
   tenant.name = "steady";
   tenant.arrivals = {ArrivalProcess::Kind::kPeriodic, 500.0};
@@ -265,11 +265,11 @@ TEST(WorkloadDriverTest, RedundantFaultEventsAreNoOps) {
   spec.num_nodes = 4;
   spec.horizon = Milliseconds(90);
   spec.seed = 6;
-  spec.faults.push_back(FaultEvent{Milliseconds(20), 2, /*kill=*/false});
-  spec.faults.push_back(FaultEvent{Milliseconds(30), 1, /*kill=*/true});
-  spec.faults.push_back(FaultEvent{Milliseconds(45), 1, /*kill=*/true});
-  spec.faults.push_back(FaultEvent{Milliseconds(60), 1, /*kill=*/false});
-  spec.faults.push_back(FaultEvent{Milliseconds(75), 1, /*kill=*/false});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(20), 2, /*kill=*/false});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(30), 1, /*kill=*/true});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(45), 1, /*kill=*/true});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(60), 1, /*kill=*/false});
+  spec.faults.push_back(net::FaultEvent{Milliseconds(75), 1, /*kill=*/false});
   TenantSpec tenant;
   tenant.name = "steady";
   tenant.arrivals = {ArrivalProcess::Kind::kPeriodic, 500.0};
