@@ -1,14 +1,17 @@
-// Tests for the open-loop workload engine: trace determinism, driver
-// accounting (including the error-tolerant keep-counting contract), the
-// canonical scenario registry, matched-load backend comparisons, and the
-// bit-for-bit determinism of whole scenario runs.
+// Tests for the open-loop workload engine: trace determinism and merge
+// order, driver accounting (including the error-tolerant keep-counting
+// contract), the canonical scenario registry, matched-load backend
+// comparisons, the bit-for-bit determinism of whole scenario runs, and a
+// golden digest of one tie-heavy replay on two backends.
 #include "workload/driver.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -27,6 +30,87 @@ ScenarioSpec SmallMixedSpec() {
   tuning.seed = 7;
   tuning.max_object_bytes = MB(1);
   return BuildScenario("mixed", tuning);
+}
+
+/// One small spec over every path of the driver: two periodic tenants at
+/// one rate (their arrivals tie, and the closed-loop tenant's drawn
+/// instants tie with theirs), re-reads under a Get timeout, a zipf hot set,
+/// a closed-loop chain and a kill/recover schedule.
+ScenarioSpec TieHeavySpec() {
+  ScenarioSpec spec;
+  spec.name = "tie-heavy";
+  spec.num_nodes = 8;
+  spec.horizon = Milliseconds(500);
+  spec.seed = 17;
+  spec.faults = {{Milliseconds(150), 3, /*kill=*/true},
+                 {Milliseconds(350), 3, /*kill=*/false}};
+
+  TenantSpec tick_a;
+  tick_a.name = "tick-a";
+  tick_a.arrivals = {ArrivalProcess::Kind::kPeriodic, 1000.0};
+  tick_a.mix = OpMix{0.4, 0.3, 0.2, 0.1};
+  tick_a.sizes = SizeDistribution::Weighted({{KB(4), 0.6}, {KB(256), 0.4}});
+  TenantSpec tick_b = tick_a;
+  tick_b.name = "tick-b";
+  tick_b.mix = OpMix{0.2, 0.6, 0.2, 0.0};
+
+  TenantSpec reuse;
+  reuse.name = "reuse";
+  reuse.arrivals = {ArrivalProcess::Kind::kPoisson, 600.0};
+  reuse.mix = OpMix{0.5, 0.5, 0.0, 0.0};
+  reuse.sizes = SizeDistribution::Fixed(KB(64));
+  reuse.reuse_fraction = 0.5;
+  reuse.delete_after = false;
+  reuse.get_timeout = Milliseconds(5);
+
+  TenantSpec zipf;
+  zipf.name = "zipf";
+  zipf.arrivals = {ArrivalProcess::Kind::kPoisson, 400.0};
+  zipf.mix = OpMix{0.0, 1.0, 0.0, 0.0};
+  zipf.sizes = SizeDistribution::LogUniform(KB(1), MB(1));
+  zipf.zipf_hot_set = 32;
+  zipf.zipf_alpha = 1.1;
+  zipf.delete_after = false;
+
+  TenantSpec closed;
+  closed.name = "closed";
+  closed.closed_loop = true;
+  closed.arrivals = {ArrivalProcess::Kind::kPeriodic, 400.0};
+  closed.mix = OpMix{0.5, 0.2, 0.3, 0.0};
+  closed.sizes = SizeDistribution::Fixed(KB(512));
+
+  spec.tenants = {tick_a, tick_b, reuse, zipf, closed};
+  return spec;
+}
+
+/// FNV-1a 64 over a sequence of 64-bit words.
+class Digest {
+ public:
+  void Fold(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value_ ^= (word >> (8 * byte)) & 0xff;
+      value_ *= 0x100000001b3ULL;
+    }
+  }
+  void Fold(std::int64_t word) { Fold(static_cast<std::uint64_t>(word)); }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+
+ private:
+  std::uint64_t value_ = 0xcbf29ce484222325ULL;  // offset basis
+};
+
+/// Whether `ops` is strictly increasing in (at, tenant).
+::testing::AssertionResult MergedByArrivalThenTenant(const std::vector<WorkloadOp>& ops) {
+  for (std::size_t i = 1; i < ops.size(); ++i) {
+    const WorkloadOp& a = ops[i - 1];
+    const WorkloadOp& b = ops[i];
+    if (std::pair(a.at, a.tenant) >= std::pair(b.at, b.tenant)) {
+      return ::testing::AssertionFailure()
+             << "op " << i << " (at " << b.at << ", tenant " << b.tenant
+             << ") follows (at " << a.at << ", tenant " << a.tenant << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 bool SameOp(const WorkloadOp& a, const WorkloadOp& b) {
@@ -95,6 +179,65 @@ TEST(WorkloadTraceTest, OpsAreWellFormed) {
         EXPECT_GE(op.peers.size(), 1u);
         break;
     }
+  }
+}
+
+TEST(WorkloadTraceTest, OpsMergeByArrivalThenTenant) {
+  // Every tenant's own arrivals strictly increase, so (at, tenant) orders
+  // the whole trace with no ties: the order a stable sort by arrival of
+  // the tenant-by-tenant concatenation gives.
+  const WorkloadTrace tie_heavy = BuildTrace(TieHeavySpec());
+  EXPECT_TRUE(MergedByArrivalThenTenant(tie_heavy.ops));
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < tie_heavy.ops.size(); ++i) {
+    if (tie_heavy.ops[i].at == tie_heavy.ops[i - 1].at) ++ties;
+  }
+  EXPECT_GE(ties, 400u) << "the spec must tie arrivals across tenants";
+
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ScenarioSpec spec = SmallMixedSpec();
+    spec.seed = seed;
+    EXPECT_TRUE(MergedByArrivalThenTenant(BuildTrace(spec).ops)) << "seed " << seed;
+  }
+}
+
+TEST(WorkloadGoldenTest, ReplayOutcomesArePinned) {
+  // A digest of the tie-heavy trace and of every op's outcome on each
+  // backend. Any change to trace lowering or to the driver's issue and
+  // settle order moves it.
+  const WorkloadTrace trace = BuildTrace(TieHeavySpec());
+  ASSERT_GE(trace.ops.size(), 1000u);
+  ASSERT_LE(trace.ops.size(), 2000u);
+  Digest trace_digest;
+  for (const WorkloadOp& op : trace.ops) {
+    trace_digest.Fold(op.at);
+    trace_digest.Fold(static_cast<std::int64_t>(op.kind));
+    trace_digest.Fold(op.bytes);
+    trace_digest.Fold(static_cast<std::int64_t>(op.home));
+    trace_digest.Fold(static_cast<std::uint64_t>(op.peers.size()));
+    for (const NodeID peer : op.peers) trace_digest.Fold(static_cast<std::int64_t>(peer));
+    trace_digest.Fold(op.id.value());
+    trace_digest.Fold(static_cast<std::int64_t>(op.fresh));
+    trace_digest.Fold(op.think_gap);
+  }
+
+  const std::pair<BackendKind, std::uint64_t> pinned[] = {
+      {BackendKind::kHoplite, 0xc17e7f49e6066bdcULL},
+      {BackendKind::kRay, 0xb82c4e962f623ba8ULL},
+  };
+  for (const auto& [kind, expected] : pinned) {
+    const auto backend = MakeBackend(kind, trace.spec);
+    const LoadReport report = RunTrace(trace, *backend);
+    SCOPED_TRACE(report.backend);
+    EXPECT_GT(report.total.completed, 0u);
+    Digest digest = trace_digest;
+    for (const OpOutcome& outcome : report.ops) {
+      digest.Fold(outcome.issued_at);
+      digest.Fold(outcome.settled_at);
+      digest.Fold(static_cast<std::int64_t>(outcome.ok));
+      digest.Fold(static_cast<std::int64_t>(outcome.error));
+    }
+    EXPECT_EQ(digest.value(), expected) << std::hex << "digest 0x" << digest.value();
   }
 }
 
