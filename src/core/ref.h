@@ -26,8 +26,9 @@
 //                         source has not settled (Table 1's Get timeout)
 //   WhenAll(refs)         all values, in input order; first error rejects
 //   WhenAllSettled(refs)  per-ref outcomes, in input order; never rejects
-//                         (the error-tolerant variant a workload driver uses
-//                         to keep counting after one tenant's op fails)
+//                         (the error-tolerant variant the workload backend's
+//                         AllOk builds on: a broadcast op settles once every
+//                         receiver's Get has, failed or not)
 //   After(sim, d)         a ref that becomes ready `d` from now
 #pragma once
 

@@ -16,21 +16,6 @@ namespace hoplite::workload {
 
 namespace {
 
-/// Collapses a typed completion ref to the driver's Unit currency,
-/// preserving failure.
-template <typename T>
-[[nodiscard]] Ref<Unit> ToUnit(sim::Engine& sim, ObjectID id, const Ref<T>& done) {
-  RefPromise<Unit> promise(&sim, id);
-  done.OnSettled([promise](const Ref<T>& settled) {
-    if (settled.failed()) {
-      promise.Reject(settled.error());
-    } else {
-      promise.Resolve(Unit{});
-    }
-  });
-  return promise.ref();
-}
-
 /// Resolves once every ref settled; rejects with the first (input-order)
 /// failure. Built on WhenAllSettled so one timed-out receiver neither hides
 /// the others' completions nor stops the op from settling.
@@ -78,16 +63,16 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
     Ref<Unit> done;
     switch (op.kind) {
       case OpKind::kPut:
-        done = ToUnit(sim, op.id,
-                      cluster_.client(op.home).Put(op.id, store::Buffer::OfSize(op.bytes),
-                                                   tenant));
+        done = cluster_.client(op.home)
+                   .Put(op.id, store::Buffer::OfSize(op.bytes), tenant)
+                   .Then([] {});
         break;
       case OpKind::kGet: {
         if (op.fresh) {
           cluster_.client(op.peers.at(0))
               .Put(op.id, store::Buffer::OfSize(op.bytes), tenant);
         }
-        done = ToUnit(sim, op.id, cluster_.client(op.home).Get(op.id, GetOpts(op)));
+        done = cluster_.client(op.home).Get(op.id, GetOpts(op)).Then([] {});
         break;
       }
       case OpKind::kBroadcast: {
@@ -113,7 +98,7 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
         cluster_.client(op.home).Reduce(spec);
         // §5.1.2 measurement: the op ends when the reduced result has been
         // read back at the caller.
-        done = ToUnit(sim, op.id, cluster_.client(op.home).Get(op.id, GetOpts(op)));
+        done = cluster_.client(op.home).Get(op.id, GetOpts(op)).Then([] {});
         break;
       }
     }
@@ -205,18 +190,17 @@ class RayWorkloadBackend final : public WorkloadBackend {
     Ref<Unit> done;
     switch (op.kind) {
       case OpKind::kPut:
-        done = ToUnit(sim_, op.id, transport_.Put(op.home, op.id, op.bytes));
+        done = transport_.Put(op.home, op.id, op.bytes).Then([] {});
         break;
       case OpKind::kGet:
         if (op.fresh) transport_.Put(op.peers.at(0), op.id, op.bytes);
-        done = WithOpTimeout(op, ToUnit(sim_, op.id, transport_.Get(op.home, op.id)));
+        done = WithOpTimeout(op, transport_.Get(op.home, op.id).Then([] {}));
         break;
       case OpKind::kBroadcast: {
         transport_.Put(op.home, op.id, op.bytes);
         // The transport parks Gets until the location is published, so the
         // unicast fan-out can be issued immediately, like Hoplite's side.
-        done = WithOpTimeout(op,
-                             ToUnit(sim_, op.id, transport_.Broadcast(op.id, op.peers)));
+        done = WithOpTimeout(op, transport_.Broadcast(op.id, op.peers).Then([] {}));
         break;
       }
       case OpKind::kReduce: {
@@ -228,8 +212,7 @@ class RayWorkloadBackend final : public WorkloadBackend {
           transport_.Put(op.peers[k], source, op.bytes);
         }
         done = WithOpTimeout(
-            op, ToUnit(sim_, op.id,
-                       transport_.Reduce(op.home, sources, op.id, op.bytes)));
+            op, transport_.Reduce(op.home, sources, op.id, op.bytes).Then([] {}));
         break;
       }
     }

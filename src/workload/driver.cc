@@ -1,14 +1,91 @@
 #include "workload/driver.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace hoplite::workload {
+
+namespace {
+
+/// One replay in flight: the state its events and settle observers share.
+// hoplite-sa: owner(Replay) -- lives on RunTrace's stack, and RunTrace drains
+// the engine with Run() before it returns.
+class Replay {
+ public:
+  Replay(WorkloadBackend& backend, const WorkloadTrace& trace,
+         std::vector<OpOutcome>& outcomes)
+      : sim_(backend.simulator()),
+        backend_(backend),
+        ops_(trace.ops),
+        outcomes_(outcomes),
+        chains_(trace.spec.tenants.size()) {}
+  Replay(const Replay&) = delete;
+  Replay& operator=(const Replay&) = delete;
+
+  /// Open-loop ops issue at their pre-drawn arrival instants, one event
+  /// each, scheduled in trace order. Closed-loop tenants instead form
+  /// per-tenant chains: op k+1 goes out `think_gap` after op k settled, so
+  /// only each chain's first op is scheduled here, in tenant order.
+  void ScheduleArrivals() {
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const WorkloadOp& op = ops_[i];
+      if (op.closed_loop) {
+        chains_[static_cast<std::size_t>(op.tenant)].ops.push_back(i);
+      } else {
+        sim_.ScheduleAt(op.at, [this, i] { Arrive(i); });
+      }
+    }
+    for (Chain& chain : chains_) {
+      if (chain.ops.empty()) continue;
+      // The first op of a chain issues at its drawn arrival (= its gap from 0).
+      sim_.ScheduleAt(ops_[chain.ops[0]].at, [this, &chain] { IssueChain(chain); });
+    }
+  }
+
+ private:
+  /// A closed-loop tenant's ops as trace indices, in order, and the next
+  /// one to issue.
+  struct Chain {
+    std::vector<std::size_t> ops;
+    std::size_t next = 0;
+  };
+
+  /// The observer is attached once Issue returned, so it runs after the
+  /// backend's own (its GC).
+  void Arrive(std::size_t i) {
+    backend_.Issue(ops_[i]).OnSettled([this, i](const Ref<Unit>& done) { Record(i, done); });
+  }
+
+  void IssueChain(Chain& chain) {
+    const std::size_t i = chain.ops[chain.next++];
+    outcomes_[i].issued_at = sim_.Now();  // actual issue instant, not the draw
+    backend_.Issue(ops_[i]).OnSettled([this, i, &chain](const Ref<Unit>& done) {
+      Record(i, done);
+      if (chain.next == chain.ops.size()) return;
+      // Think for the next op's drawn gap, then issue it.
+      sim_.ScheduleAfter(ops_[chain.ops[chain.next]].think_gap,
+                         [this, &chain] { IssueChain(chain); });
+    });
+  }
+
+  void Record(std::size_t i, const Ref<Unit>& done) {
+    OpOutcome& outcome = outcomes_[i];
+    outcome.settled_at = sim_.Now();
+    outcome.ok = done.ready();
+    if (!outcome.ok) outcome.error = done.error().code;
+  }
+
+  sim::Engine& sim_;
+  WorkloadBackend& backend_;
+  const std::vector<WorkloadOp>& ops_;
+  std::vector<OpOutcome>& outcomes_;
+  std::vector<Chain> chains_;  ///< by tenant
+};
+
+}  // namespace
 
 LoadReport RunTrace(const WorkloadTrace& trace, WorkloadBackend& backend) {
   auto& sim = backend.simulator();
@@ -20,8 +97,6 @@ LoadReport RunTrace(const WorkloadTrace& trace, WorkloadBackend& backend) {
   report.backend = backend.name();
   report.horizon = spec.horizon;
 
-  // Fill the outcome table before attaching any continuation: the settle
-  // observers capture &report.ops[i], which must never reallocate.
   report.ops.reserve(trace.ops.size());
   for (const WorkloadOp& op : trace.ops) {
     OpOutcome outcome;
@@ -32,73 +107,8 @@ LoadReport RunTrace(const WorkloadTrace& trace, WorkloadBackend& backend) {
     report.ops.push_back(outcome);
   }
 
-  // Open-loop ops issue at their pre-drawn arrival instants. Closed-loop
-  // tenants instead form per-tenant chains: op k+1 goes out `think_gap`
-  // after op k settled, so placeholder promises stand in for the
-  // not-yet-issued ops and one completion barrier covers both regimes.
-  std::vector<Ref<Unit>> completions;
-  completions.reserve(trace.ops.size());
-  std::vector<std::vector<std::size_t>> chains(spec.tenants.size());
-  std::vector<std::optional<RefPromise<Unit>>> placeholders(trace.ops.size());
-  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
-    const WorkloadOp& op = trace.ops[i];
-    OpOutcome& outcome = report.ops[i];
-    if (op.closed_loop) {
-      chains[static_cast<std::size_t>(op.tenant)].push_back(i);
-      placeholders[i].emplace(&sim, op.id);
-      completions.push_back(placeholders[i]->ref());
-      continue;
-    }
-    Ref<Unit> done =
-        At(sim, op.at).Then([&backend, &op] { return backend.Issue(op); });
-    done.OnSettled([&outcome, &sim](const Ref<Unit>& settled) {
-      outcome.settled_at = sim.Now();
-      outcome.ok = settled.ready();
-      if (!outcome.ok) outcome.error = settled.error().code;
-    });
-    completions.push_back(std::move(done));
-  }
-
-  // The chain issuer + re-armer: shared handles so settle continuations can
-  // re-enter them for the tenant's next op. Both closures are built at this
-  // scope, so every by-reference capture is a RunTrace local that outlives
-  // sim.Run().
-  std::vector<std::size_t> chain_heads(spec.tenants.size(), 0);
-  const auto issue_next = std::make_shared<std::function<void(std::size_t)>>();
-  const auto arm_next = std::make_shared<std::function<void(std::size_t)>>();
-  *arm_next = [&sim, &trace, &chains, &chain_heads, issue_next](std::size_t t) {
-    // Think for the *next* op's drawn gap, then issue it.
-    const std::size_t head = chain_heads[t];
-    if (head >= chains[t].size()) return;
-    const SimDuration think = trace.ops[chains[t][head]].think_gap;
-    sim.ScheduleAfter(think, [issue_next, t] { (*issue_next)(t); });
-  };
-  *issue_next = [&, arm_next](std::size_t t) {
-    std::size_t& head = chain_heads[t];
-    if (head >= chains[t].size()) return;
-    const std::size_t i = chains[t][head++];
-    const WorkloadOp& op = trace.ops[i];
-    OpOutcome* outcome = &report.ops[i];
-    outcome->issued_at = sim.Now();  // actual issue instant, not the draw
-    const RefPromise<Unit> promise = *placeholders[i];
-    const Ref<Unit> done = backend.Issue(op);
-    done.OnSettled([&sim, outcome, arm_next, t, promise](const Ref<Unit>& settled) {
-      outcome->settled_at = sim.Now();
-      outcome->ok = settled.ready();
-      if (!outcome->ok) outcome->error = settled.error().code;
-      if (settled.failed()) {
-        promise.Reject(settled.error());
-      } else {
-        promise.Resolve(Unit{});
-      }
-      (*arm_next)(t);
-    });
-  };
-  for (std::size_t t = 0; t < chains.size(); ++t) {
-    if (chains[t].empty()) continue;
-    // The first op of a chain issues at its drawn arrival (= its gap from 0).
-    sim.ScheduleAt(trace.ops[chains[t][0]].at, [issue_next, t] { (*issue_next)(t); });
-  }
+  Replay replay(backend, trace, report.ops);
+  replay.ScheduleArrivals();
 
   // The fault schedule fires independently of op traffic.
   for (const net::FaultEvent& fault : spec.faults) {
@@ -106,20 +116,8 @@ LoadReport RunTrace(const WorkloadTrace& trace, WorkloadBackend& backend) {
                    [&backend, fault] { backend.InjectFault(fault.node, fault.kill); });
   }
 
-  // Error-tolerant completion barrier: a failed op records its outcome and
-  // the driver keeps counting — WhenAll would reject wholesale instead.
-  bool all_settled = false;
-  WhenAllSettled(completions).Then(
-      [&all_settled](const std::vector<Settled<Unit>>&) { all_settled = true; });
-
   sim.Run();
 
-  // Break the issuer <-> armer shared_ptr cycle (each captures the other's
-  // handle) so neither closure outlives the locals it references.
-  *issue_next = nullptr;
-  *arm_next = nullptr;
-
-  report.all_settled = all_settled;
   report.store = backend.store_high_water();
 
   // ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // The open-loop workload driver and its result, the LoadReport.
 //
-// `RunTrace` replays one materialized trace against one backend: every op
-// is scheduled at its arrival instant (`At(sim, op.at)`), its completion
-// ref is observed for the latency sample, and a `WhenAllSettled` over all
-// op refs — the error-tolerant combinator — lets the driver keep counting
-// after a tenant's op fails instead of giving up at the first timeout.
+// `RunTrace` replays one materialized trace against one backend: each
+// open-loop op is one event at its arrival instant that issues the op and
+// observes its completion ref for the latency sample; a closed-loop
+// tenant's chain schedules its next op from that observer. A failed op
+// records its error and the replay goes on: the driver counts every op
+// until the engine drains instead of giving up at the first timeout.
 //
 // The report carries what the paper's §5 workload sections report:
 // throughput, p50/p95/p99 latency (per tenant, per op kind, and overall),
@@ -65,9 +66,8 @@ struct LoadReport {
   std::string scenario;
   std::string backend;
   SimDuration horizon = 0;
-  SimTime end_time = 0;      ///< last op settle instant (>= horizon drain)
-  bool all_settled = false;  ///< every op ref settled before the run drained
-  double fairness = 1.0;     ///< Jain over per-tenant completed/offered
+  SimTime end_time = 0;   ///< last op settle instant (>= horizon drain)
+  double fairness = 1.0;  ///< Jain over per-tenant completed/offered
   StoreHighWater store;
   TenantLoad total;  ///< name = "total"
   std::vector<TenantLoad> tenants;

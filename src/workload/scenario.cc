@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
+#include <queue>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -74,9 +78,9 @@ std::vector<NodeID> DrawPeers(Rng& rng, int num_nodes, NodeID home, int count) {
     const auto j = i + static_cast<std::size_t>(rng.NextBounded(pool.size() - i));
     std::swap(pool[i], pool[j]);
   }
-  pool.resize(want);
-  std::sort(pool.begin(), pool.end());
-  return pool;
+  const auto sample = pool.begin() + static_cast<std::ptrdiff_t>(want);
+  std::sort(pool.begin(), sample);
+  return {pool.begin(), sample};  // sized to the sample: the trace keeps it
 }
 
 }  // namespace
@@ -205,16 +209,24 @@ WorkloadTrace BuildTrace(const ScenarioSpec& spec) {
     }
   }
 
+  // Arrival order, ties in tenant order: each tenant's `at` strictly
+  // increases (every gap is >= 1 ns), so merging the lists by (at, tenant)
+  // moves each op once into its final place.
+  using Head = std::pair<SimTime, std::size_t>;
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
+  std::vector<std::size_t> next(per_tenant.size(), 0);
   std::size_t total = 0;
-  for (const auto& ops : per_tenant) total += ops.size();
-  trace.ops.reserve(total);
-  for (auto& ops : per_tenant) {
-    trace.ops.insert(trace.ops.end(), ops.begin(), ops.end());
+  for (std::size_t t = 0; t < per_tenant.size(); ++t) {
+    total += per_tenant[t].size();
+    if (!per_tenant[t].empty()) heads.emplace(per_tenant[t].front().at, t);
   }
-  // Arrival order; ties resolve by tenant then per-tenant issue order,
-  // which stable_sort preserves from the concatenation above.
-  std::stable_sort(trace.ops.begin(), trace.ops.end(),
-                   [](const WorkloadOp& a, const WorkloadOp& b) { return a.at < b.at; });
+  trace.ops.reserve(total);
+  while (!heads.empty()) {
+    const std::size_t t = heads.top().second;
+    heads.pop();
+    trace.ops.push_back(std::move(per_tenant[t][next[t]]));
+    if (++next[t] < per_tenant[t].size()) heads.emplace(per_tenant[t][next[t]].at, t);
+  }
   return trace;
 }
 
