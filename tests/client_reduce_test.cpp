@@ -2,6 +2,7 @@
 // behaviour (§3.5.2) on a simulated cluster.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -390,6 +391,61 @@ TEST(ReduceFaultTest, MultipleFailuresDuringOneReduce) {
     EXPECT_NE(id, ObjectID::FromName("grad").WithIndex(2));
     EXPECT_NE(id, ObjectID::FromName("grad").WithIndex(5));
   }
+}
+
+TEST(ReduceFaultTest, SinkResetRestreamsTheTargetToRemoteReaders) {
+  // Killing a tree member resets the root path while half of the sink has
+  // streamed to three remote readers, beside streams of two objects whose
+  // ids bracket the target's: the coordinator rolls its partial sink back
+  // and every reader's stream of the target restarts, at the coordinator
+  // and at each relay. Every copy must arrive in full; the settle instants
+  // are pinned, so a reset that reached another object's sessions, or
+  // missed one of the target's, moves them.
+  constexpr int kNodes = 8;
+  HopliteCluster cluster(TestOptions(kNodes, 2));
+  std::vector<ObjectID> sources;
+  for (NodeID n = 0; n < kNodes; ++n) {
+    sources.push_back(ObjectID::FromName("grad").WithIndex(n));
+    cluster.client(n).Put(sources.back(), store::Buffer::OfSize(MB(32)));
+  }
+  const ObjectID target = ObjectID::FromName("sum");
+  ObjectID below;
+  ObjectID above;
+  for (int i = 0; below.IsNil() || above.IsNil(); ++i) {
+    const ObjectID side = ObjectID::FromName("side").WithIndex(i);
+    ObjectID& slot = side.value() < target.value() ? below : above;
+    if (slot.IsNil()) slot = side;
+  }
+  std::optional<ReduceResult> result;
+  cluster.client(0)
+      .Reduce(ReduceSpec{target, sources, 6, store::ReduceOp::kSum})
+      .Then([&](const ReduceResult& r) { result = r; });
+  cluster.client(0).Put(below, store::Buffer::OfSize(MB(256)));
+  cluster.client(0).Put(above, store::Buffer::OfSize(MB(256)));
+  std::vector<SimTime> settled;
+  for (const NodeID reader : {5, 6, 7}) {
+    for (const auto& [object, bytes] : {std::pair{target, MB(32)}, std::pair{below, MB(256)},
+                                        std::pair{above, MB(256)}}) {
+      cluster.client(reader).Get(object).Then([&, bytes](const store::Buffer& b) {
+        EXPECT_EQ(b.size(), bytes);
+        settled.push_back(cluster.Now());
+      });
+    }
+  }
+  // By 20 ms the sink holds 4 of its 8 chunks (node 2 sits in the tree).
+  cluster.simulator().ScheduleAt(Milliseconds(20), [&] { cluster.KillNode(2); });
+  cluster.RunAll();
+  ASSERT_TRUE(result.has_value());
+  for (const ObjectID& id : result->reduced) EXPECT_NE(id, sources[2]);
+  ASSERT_EQ(settled.size(), 9u);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over the instants
+  for (const SimTime t : settled) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (static_cast<std::uint64_t>(t) >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(digest, 0x11de11a044dea30eULL) << std::hex << "digest 0x" << digest;
 }
 
 TEST(ReduceFaultTest, SessionsAreTornDownAfterCompletion) {

@@ -4,6 +4,9 @@
 // networks (§6), and concurrent reduces over shared sources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -88,6 +91,45 @@ TEST(DeleteTest, DeleteDuringActiveBroadcastDropsEverything) {
   }
   EXPECT_FALSE(cluster.directory().HasObject(object));
   EXPECT_LE(delivered, 3);
+}
+
+TEST(DeleteTest, DeleteEndsOnlyThePurgedObjectsPushSessions) {
+  // Node 0 streams five objects to three receivers at once, so its push
+  // sessions of the median id sit between other objects' sessions. Deleting
+  // that object mid-flight must end its sessions and no others: a purge
+  // that ended a neighbour's session would stall that neighbour's Gets.
+  HopliteCluster cluster(Opts(4));
+  std::vector<ObjectID> objects;
+  for (int i = 0; i < 5; ++i) objects.push_back(ObjectID::FromName("pile").WithIndex(i));
+  std::vector<ObjectID> by_value = objects;
+  std::sort(by_value.begin(), by_value.end(),
+            [](ObjectID a, ObjectID b) { return a.value() < b.value(); });
+  const ObjectID doomed = by_value[2];
+  std::map<std::uint64_t, int> delivered;
+  for (const ObjectID object : objects) {
+    cluster.client(0).Put(object, store::Buffer::OfSize(MB(64)));
+    for (NodeID r = 1; r < 4; ++r) {
+      cluster.client(r).Get(object).Then([&delivered, object](const store::Buffer& b) {
+        if (b.size() == MB(64)) ++delivered[object.value()];
+      });
+    }
+  }
+  // Five 64 MB streams share node 0's NIC, so every one is still in flight.
+  cluster.simulator().ScheduleAt(Milliseconds(10), [&] {
+    EXPECT_GE(cluster.client(0).active_push_sessions(), objects.size());
+    cluster.client(0).Delete(doomed);
+  });
+  cluster.RunAll();
+  for (const ObjectID object : objects) {
+    if (object == doomed) continue;
+    EXPECT_EQ(delivered[object.value()], 3) << object;
+  }
+  EXPECT_EQ(delivered.count(doomed.value()), 0u);
+  for (NodeID n = 0; n < 4; ++n) {
+    EXPECT_FALSE(cluster.store(n).Contains(doomed)) << "node " << n;
+    EXPECT_EQ(cluster.client(n).active_push_sessions(), 0u) << "node " << n;
+  }
+  EXPECT_FALSE(cluster.directory().HasObject(doomed));
 }
 
 TEST(ChainedReduceTest, FailureInUpstreamReducePropagatesCorrectly) {

@@ -1,8 +1,9 @@
 // Tests for the open-loop workload engine: trace determinism and merge
 // order, driver accounting (including the error-tolerant keep-counting
 // contract), the canonical scenario registry, matched-load backend
-// comparisons, the bit-for-bit determinism of whole scenario runs, and a
-// golden digest of one tie-heavy replay on two backends.
+// comparisons, the bit-for-bit determinism of whole scenario runs, a
+// golden digest of one tie-heavy replay on two backends and one of a
+// push-session pile-up on Hoplite.
 #include "workload/driver.h"
 
 #include <gtest/gtest.h>
@@ -113,6 +114,31 @@ class Digest {
   return ::testing::AssertionSuccess();
 }
 
+/// Folds every op of `trace` into `digest`.
+void FoldTrace(Digest& digest, const WorkloadTrace& trace) {
+  for (const WorkloadOp& op : trace.ops) {
+    digest.Fold(op.at);
+    digest.Fold(static_cast<std::int64_t>(op.kind));
+    digest.Fold(op.bytes);
+    digest.Fold(static_cast<std::int64_t>(op.home));
+    digest.Fold(static_cast<std::uint64_t>(op.peers.size()));
+    for (const NodeID peer : op.peers) digest.Fold(static_cast<std::int64_t>(peer));
+    digest.Fold(op.id.value());
+    digest.Fold(static_cast<std::int64_t>(op.fresh));
+    digest.Fold(op.think_gap);
+  }
+}
+
+/// Folds every op outcome of `report` into `digest`.
+void FoldOutcomes(Digest& digest, const LoadReport& report) {
+  for (const OpOutcome& outcome : report.ops) {
+    digest.Fold(outcome.issued_at);
+    digest.Fold(outcome.settled_at);
+    digest.Fold(static_cast<std::int64_t>(outcome.ok));
+    digest.Fold(static_cast<std::int64_t>(outcome.error));
+  }
+}
+
 bool SameOp(const WorkloadOp& a, const WorkloadOp& b) {
   return a.tenant == b.tenant && a.at == b.at && a.kind == b.kind &&
          a.bytes == b.bytes && a.home == b.home && a.peers == b.peers &&
@@ -209,17 +235,7 @@ TEST(WorkloadGoldenTest, ReplayOutcomesArePinned) {
   ASSERT_GE(trace.ops.size(), 1000u);
   ASSERT_LE(trace.ops.size(), 2000u);
   Digest trace_digest;
-  for (const WorkloadOp& op : trace.ops) {
-    trace_digest.Fold(op.at);
-    trace_digest.Fold(static_cast<std::int64_t>(op.kind));
-    trace_digest.Fold(op.bytes);
-    trace_digest.Fold(static_cast<std::int64_t>(op.home));
-    trace_digest.Fold(static_cast<std::uint64_t>(op.peers.size()));
-    for (const NodeID peer : op.peers) trace_digest.Fold(static_cast<std::int64_t>(peer));
-    trace_digest.Fold(op.id.value());
-    trace_digest.Fold(static_cast<std::int64_t>(op.fresh));
-    trace_digest.Fold(op.think_gap);
-  }
+  FoldTrace(trace_digest, trace);
 
   const std::pair<BackendKind, std::uint64_t> pinned[] = {
       {BackendKind::kHoplite, 0xc17e7f49e6066bdcULL},
@@ -231,14 +247,35 @@ TEST(WorkloadGoldenTest, ReplayOutcomesArePinned) {
     SCOPED_TRACE(report.backend);
     EXPECT_GT(report.total.completed, 0u);
     Digest digest = trace_digest;
-    for (const OpOutcome& outcome : report.ops) {
-      digest.Fold(outcome.issued_at);
-      digest.Fold(outcome.settled_at);
-      digest.Fold(static_cast<std::int64_t>(outcome.ok));
-      digest.Fold(static_cast<std::int64_t>(outcome.error));
-    }
+    FoldOutcomes(digest, report);
     EXPECT_EQ(digest.value(), expected) << std::hex << "digest 0x" << digest.value();
   }
+}
+
+TEST(WorkloadGoldenTest, UplinkPileUpReplayIsPinned) {
+  // The hot-uplink regime at 1/5 of its horizon: with QoS off, the
+  // open-loop aggressor's broadcasts pile push sessions up on node 0, and
+  // the serving loop's GC Deletes purge objects mid-pile, between other
+  // objects' sessions. Any change to how a purge finds an object's
+  // sessions, or to when pending Gets are swept, that is not exact moves
+  // the digest.
+  ScenarioTuning tuning;
+  tuning.num_nodes = 8;
+  tuning.load_scale = 2.0;
+  tuning.horizon = Seconds(2);
+  tuning.seed = 3;
+  const WorkloadTrace trace = BuildTrace(BuildScenario("misbehaving-tenant", tuning));
+  ASSERT_GE(trace.ops.size(), 900u);
+  ASSERT_LE(trace.ops.size(), 1400u);
+  Digest digest;
+  FoldTrace(digest, trace);
+  const auto backend = MakeBackend(BackendKind::kHoplite, trace.spec);
+  const LoadReport report = RunTrace(trace, *backend);
+  EXPECT_GT(report.total.completed, 0u);
+  EXPECT_GT(report.total.failed, 0u) << "victims' Gets must time out behind the pile";
+  FoldOutcomes(digest, report);
+  EXPECT_EQ(digest.value(), 0xb0915879fba9c7b5ULL)
+      << std::hex << "digest 0x" << digest.value();
 }
 
 TEST(WorkloadDriverTest, MixedScenarioDrainsOnBothBackendsAtMatchedLoad) {
