@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -132,15 +133,23 @@ void HopliteClient::TrackGetPromise(ObjectID object,
 
 void HopliteClient::PrunePromises() {
   // Amortized: called on every registration, so neither table accumulates
-  // settled entries across long runs.
-  if (++prune_countdown_ < 64) return;
+  // settled entries across long runs. The next sweep waits for as many
+  // registrations as this one kept (at least kMinPrunePeriod), so each
+  // sweep's work is spread over at least as many registrations as it
+  // visits, and the tables never hold more than twice that period.
+  // Dropping a settled promise is invisible: rejecting it is a no-op and
+  // its state holds no continuations.
+  if (++prune_countdown_ < prune_period_) return;
   prune_countdown_ = 0;
+  std::size_t kept = 0;
   for (const ObjectID object : det::SortedKeys(get_promises_)) {
     auto& vec = get_promises_.find(object)->second;
     std::erase_if(vec, [](const RefPromise<store::Buffer>& p) { return p.settled(); });
+    kept += vec.size();
     if (vec.empty()) get_promises_.erase(object);
   }
   std::erase_if(misc_promises_, [](const TrackedPromise& p) { return p.settled(); });
+  prune_period_ = std::max(kMinPrunePeriod, kept + misc_promises_.size());
 }
 
 void HopliteClient::RejectGetPromises(ObjectID object, const RefError& error) {
@@ -715,8 +724,9 @@ void HopliteClient::HandleFetchReset(ObjectID object, std::uint32_t new_epoch) {
 }
 
 void HopliteClient::CascadeObjectReset(ObjectID object) {
-  for (auto& [key, push] : pushes_) {
-    if (push.object != object) continue;
+  const std::vector<PushKey> keys = PushKeysOf(object);
+  for (const PushKey& key : keys) {
+    PushSession& push = pushes_.find(key)->second;
     push.epoch += 1;
     push.next_chunk = 0;
     push.final_sent = false;
@@ -727,11 +737,16 @@ void HopliteClient::CascadeObjectReset(ObjectID object) {
     });
   }
   // Progress may already allow re-sending chunk 0 onwards.
+  for (const PushKey& key : keys) PumpPush(key);
+}
+
+std::vector<HopliteClient::PushKey> HopliteClient::PushKeysOf(ObjectID object) const {
   std::vector<PushKey> keys;
-  for (const auto& [key, push] : pushes_) {
-    if (push.object == object) keys.push_back(key);
+  for (auto it = pushes_.lower_bound({object.value(), std::numeric_limits<NodeID>::min()});
+       it != pushes_.end() && it->first.first == object.value(); ++it) {
+    keys.push_back(it->first);
   }
-  for (const auto& key : keys) PumpPush(key);
+  return keys;
 }
 
 // ======================================================================
@@ -750,11 +765,7 @@ void HopliteClient::PurgeObject(ObjectID object) {
   RejectGetPromises(object, RefError{RefErrorCode::kDeleted,
                                      "object was Delete'd while the Get was pending"});
   fetches_.erase(object);
-  std::vector<PushKey> keys;
-  for (const auto& [key, push] : pushes_) {
-    if (push.object == object) keys.push_back(key);
-  }
-  for (const auto& key : keys) EndPush(key);
+  for (const PushKey& key : PushKeysOf(object)) EndPush(key);
   if (auto it = deliveries_.find(object); it != deliveries_.end()) {
     for (const auto& delivery : it->second) delivery->cancelled = true;
     deliveries_.erase(it);

@@ -323,6 +323,10 @@ class HopliteClient {
 
   using PushKey = std::pair<std::uint64_t, NodeID>;  // (object id value, receiver)
 
+  /// The keys of `object`'s push sessions, in pushes_ order: the map sorts
+  /// by object first, so they are one contiguous run of it.
+  [[nodiscard]] std::vector<PushKey> PushKeysOf(ObjectID object) const;
+
   void StartFetch(ObjectID object);
   void OnClaimReply(const directory::ClaimReply& reply);
   /// `sender_holds_copy` is false when the (alive) sender told us it no
@@ -387,7 +391,10 @@ class HopliteClient {
   std::unordered_map<ObjectID, std::vector<RefPromise<store::Buffer>>> get_promises_;
   std::vector<TrackedPromise> misc_promises_;
   std::deque<std::vector<TrackedPromise>> doomed_batches_;
-  int prune_countdown_ = 0;
+  /// Registrations between sweeps of settled promises (see PrunePromises).
+  static constexpr std::size_t kMinPrunePeriod = 64;
+  std::size_t prune_period_ = kMinPrunePeriod;
+  std::size_t prune_countdown_ = 0;
 
   ReduceId next_reduce_id_seed_ = 1;
   std::unordered_map<ReduceId, std::unique_ptr<ReduceCoordinator>> coordinators_;
