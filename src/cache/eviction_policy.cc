@@ -1,30 +1,11 @@
 #include "cache/eviction_policy.h"
 
 #include <iterator>
-#include <list>
 
 #include "common/det.h"
 #include "common/logging.h"
 
 namespace hoplite::cache {
-namespace {
-
-/// Resident queue node: the id, the byte size the store reported at insert
-/// (so segmented policies can budget segments in bytes), and the stamp the
-/// node took when it last reached its queue's front.
-struct QueueEntry {
-  ObjectID id;
-  std::int64_t bytes = 0;
-  std::uint64_t stamp = 0;
-};
-
-/// Ghost breadcrumb of a capacity eviction: remembered, never a victim.
-struct GhostEntry {
-  ObjectID id;
-  std::int64_t bytes = 0;
-};
-
-using GhostQueue = std::list<GhostEntry>;
 
 /// One policy queue plus an exact order over its evictable members. Every
 /// queue gains entries only at its front (insert, touch, promotion,
@@ -33,19 +14,21 @@ using GhostQueue = std::list<GhostEntry>;
 /// the entry a back-to-front scan for an evictable member would find.
 class HOPLITE_DOMAIN_CONFINED StampedQueue {
  public:
-  using iterator = std::list<QueueEntry>::iterator;
+  using iterator = EvictionPolicy::Handle;
 
   /// New arrivals are not evictable.
   iterator PushFront(ObjectID id, std::int64_t bytes) {
-    entries_.push_front(QueueEntry{id, bytes, next_stamp_++});
+    entries_.push_front(QueueEntry{id, bytes, next_stamp_++, this});
     return entries_.begin();
   }
 
-  /// Moves `pos` from `from` (possibly this queue) to the front under a
-  /// fresh stamp, carrying its evictability along. `pos` stays valid.
-  void MoveToFront(StampedQueue& from, iterator pos) {
+  /// Moves `pos` from the queue holding it (possibly this one) to the front
+  /// under a fresh stamp, carrying its evictability along. `pos` stays valid.
+  void MoveToFront(iterator pos) {
+    StampedQueue& from = *pos->queue;
     const bool evictable = from.evictable_.erase(pos->stamp) > 0;
     pos->stamp = next_stamp_++;
+    pos->queue = this;
     entries_.splice(entries_.begin(), from.entries_, pos);
     if (evictable) evictable_.emplace(pos->stamp, pos->id);
   }
@@ -82,6 +65,22 @@ class HOPLITE_DOMAIN_CONFINED StampedQueue {
   std::uint64_t next_stamp_ = 0;
 };
 
+void EvictionPolicy::SetEvictable(Handle node, bool evictable) {
+  node->queue->SetEvictable(node, evictable);
+}
+
+bool EvictionPolicy::IsEvictable(Handle node) const { return node->queue->IsEvictable(node); }
+
+namespace {
+
+/// Ghost breadcrumb of a capacity eviction: remembered, never a victim.
+struct GhostEntry {
+  ObjectID id;
+  std::int64_t bytes = 0;
+};
+
+using GhostQueue = std::list<GhostEntry>;
+
 /// The coldest evictable entry of `first`, else of `second`.
 [[nodiscard]] std::optional<ObjectID> ColdestOf(const StampedQueue& first,
                                                 const StampedQueue& second) {
@@ -89,74 +88,22 @@ class HOPLITE_DOMAIN_CONFINED StampedQueue {
   return second.Coldest();
 }
 
-/// What the two-queue policies share: each tracked id maps to the queue
-/// holding it and its position there, so evictability flips and audit
-/// queries go straight to that queue. LRU has one queue and indexes bare
-/// positions: in stores full of pinned primaries, a queue pointer per entry
-/// shows in peak RSS.
-class HOPLITE_DOMAIN_CONFINED MultiQueuePolicy : public EvictionPolicy {
- public:
-  void SetEvictable(ObjectID object, bool evictable) final {
-    const Slot& slot = index_.at(object);
-    slot.queue->SetEvictable(slot.pos, evictable);
-  }
-
-  [[nodiscard]] std::size_t size() const final { return index_.size(); }
-  [[nodiscard]] bool Contains(ObjectID object) const final { return index_.contains(object); }
-
-  [[nodiscard]] bool IsEvictable(ObjectID object) const final {
-    const auto it = index_.find(object);
-    return it != index_.end() && it->second.queue->IsEvictable(it->second.pos);
-  }
-
- protected:
-  struct Slot {
-    StampedQueue* queue = nullptr;
-    StampedQueue::iterator pos;
-  };
-
-  det::Map<ObjectID, Slot> index_;
-};
-
 /// Classic LRU. Byte-identical to the list LocalStore used to hard-wire:
 /// inserts and touches go to the MRU front, the victim is the evictable
 /// entry nearest the LRU back.
 class HOPLITE_DOMAIN_CONFINED LruPolicy final : public EvictionPolicy {
  public:
-  void OnInsert(ObjectID object, std::int64_t bytes) override {
-    const auto [it, inserted] = index_.emplace(object, StampedQueue::iterator{});
-    HOPLITE_CHECK(inserted) << "LruPolicy: duplicate insert of " << object;
-    it->second = lru_.PushFront(object, bytes);
+  Handle OnInsert(ObjectID object, std::int64_t bytes) override {
+    return lru_.PushFront(object, bytes);
   }
 
-  void OnTouch(ObjectID object) override { lru_.MoveToFront(lru_, index_.at(object)); }
-
-  void OnRemove(ObjectID object, RemovalCause /*cause*/) override {
-    const auto it = index_.find(object);
-    HOPLITE_CHECK(it != index_.end()) << "LruPolicy: remove of untracked " << object;
-    lru_.Erase(it->second);
-    index_.erase(it);
-  }
-
-  void SetEvictable(ObjectID object, bool evictable) override {
-    lru_.SetEvictable(index_.at(object), evictable);
-  }
-
+  void OnTouch(Handle node) override { lru_.MoveToFront(node); }
+  void OnRemove(Handle node, RemovalCause /*cause*/) override { lru_.Erase(node); }
   [[nodiscard]] std::optional<ObjectID> PickVictim() const override { return lru_.Coldest(); }
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
-
-  [[nodiscard]] bool Contains(ObjectID object) const override {
-    return index_.contains(object);
-  }
-
-  [[nodiscard]] bool IsEvictable(ObjectID object) const override {
-    const auto it = index_.find(object);
-    return it != index_.end() && lru_.IsEvictable(it->second);
-  }
+  [[nodiscard]] std::size_t size() const override { return lru_.size(); }
 
  private:
   StampedQueue lru_;  // front = MRU, back = LRU
-  det::Map<ObjectID, StampedQueue::iterator> index_;
 };
 
 /// 2Q (after Johnson & Shasha). New entries enter a FIFO probationary
@@ -169,7 +116,7 @@ class HOPLITE_DOMAIN_CONFINED LruPolicy final : public EvictionPolicy {
 /// independent ops spread across nodes, a second access IS the reuse
 /// proof, and deferring promotion until after an eviction forfeits a hit
 /// per hot object for nothing.
-class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public MultiQueuePolicy {
+class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public EvictionPolicy {
  public:
   // A ghost is an id, not a payload: its budget is denominated in the bytes
   // of the objects it remembers, so 2x capacity of breadcrumbs costs almost
@@ -179,42 +126,33 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public MultiQueuePolicy {
   explicit TwoQPolicy(std::int64_t capacity_bytes)
       : a1in_target_bytes_(capacity_bytes / 4), ghost_budget_bytes_(capacity_bytes * 2) {}
 
-  void OnInsert(ObjectID object, std::int64_t bytes) override {
-    const auto [it, inserted] = index_.emplace(object, Slot{});
-    HOPLITE_CHECK(inserted) << "TwoQPolicy: duplicate insert of " << object;
+  Handle OnInsert(ObjectID object, std::int64_t bytes) override {
     if (const auto ghost = ghost_index_.find(object); ghost != ghost_index_.end()) {
       ghost_bytes_ -= ghost->second->bytes;
       ghost_.erase(ghost->second);
       ghost_index_.erase(ghost);
-      it->second = Slot{&am_, am_.PushFront(object, bytes)};
-    } else {
-      a1in_bytes_ += bytes;
-      it->second = Slot{&a1in_, a1in_.PushFront(object, bytes)};
+      return am_.PushFront(object, bytes);
     }
+    a1in_bytes_ += bytes;
+    return a1in_.PushFront(object, bytes);
   }
 
-  void OnTouch(ObjectID object) override {
+  void OnTouch(Handle node) override {
     // A1in hits promote; Am hits refresh. Either way the entry goes to the
     // MRU end of Am.
-    Slot& slot = index_.at(object);
-    if (slot.queue == &a1in_) a1in_bytes_ -= slot.pos->bytes;
-    am_.MoveToFront(*slot.queue, slot.pos);
-    slot.queue = &am_;
+    if (node->queue == &a1in_) a1in_bytes_ -= node->bytes;
+    am_.MoveToFront(node);
   }
 
-  void OnRemove(ObjectID object, RemovalCause cause) override {
-    const auto it = index_.find(object);
-    HOPLITE_CHECK(it != index_.end()) << "TwoQPolicy: remove of untracked " << object;
-    const Slot slot = it->second;
-    index_.erase(it);
-    if (slot.queue == &a1in_) {
-      a1in_bytes_ -= slot.pos->bytes;
+  void OnRemove(Handle node, RemovalCause cause) override {
+    if (node->queue == &a1in_) {
+      a1in_bytes_ -= node->bytes;
       // Only capacity evictions earn a ghost: a deleted object must not be
       // mistaken for a reused one when its id is recreated later.
       if (cause == RemovalCause::kEvicted) {
-        ghost_.push_front(GhostEntry{slot.pos->id, slot.pos->bytes});
-        ghost_bytes_ += slot.pos->bytes;
-        ghost_index_[slot.pos->id] = ghost_.begin();
+        ghost_.push_front(GhostEntry{node->id, node->bytes});
+        ghost_bytes_ += node->bytes;
+        ghost_index_[node->id] = ghost_.begin();
         while (ghost_bytes_ > ghost_budget_bytes_ && !ghost_.empty()) {
           ghost_bytes_ -= ghost_.back().bytes;
           ghost_index_.erase(ghost_.back().id);
@@ -222,7 +160,7 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public MultiQueuePolicy {
         }
       }
     }
-    slot.queue->Erase(slot.pos);
+    node->queue->Erase(node);
   }
 
   [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
@@ -231,6 +169,8 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public MultiQueuePolicy {
     // queue never wedges the store.
     return a1in_bytes_ > a1in_target_bytes_ ? ColdestOf(a1in_, am_) : ColdestOf(am_, a1in_);
   }
+
+  [[nodiscard]] std::size_t size() const override { return a1in_.size() + am_.size(); }
 
  private:
   const std::int64_t a1in_target_bytes_;
@@ -247,48 +187,43 @@ class HOPLITE_DOMAIN_CONFINED TwoQPolicy final : public MultiQueuePolicy {
 /// promotes into the protected segment (capped at 4/5 of capacity, demoting
 /// its own LRU tail back to probation). Victims come from probation first,
 /// so single-use tail objects cannot flush the proven hot set.
-class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public MultiQueuePolicy {
+class HOPLITE_DOMAIN_CONFINED SegmentedLruPolicy final : public EvictionPolicy {
  public:
   explicit SegmentedLruPolicy(std::int64_t capacity_bytes)
       : protected_target_bytes_(capacity_bytes / 5 * 4) {}
 
-  void OnInsert(ObjectID object, std::int64_t bytes) override {
-    const auto [it, inserted] = index_.emplace(object, Slot{});
-    HOPLITE_CHECK(inserted) << "SegmentedLruPolicy: duplicate insert of " << object;
-    it->second = Slot{&probation_, probation_.PushFront(object, bytes)};
+  Handle OnInsert(ObjectID object, std::int64_t bytes) override {
+    return probation_.PushFront(object, bytes);
   }
 
-  void OnTouch(ObjectID object) override {
-    Slot& slot = index_.at(object);
-    if (slot.queue == &protected_) {
-      protected_.MoveToFront(protected_, slot.pos);
+  void OnTouch(Handle node) override {
+    if (node->queue == &protected_) {
+      protected_.MoveToFront(node);
       return;
     }
     // Promote, then demote the protected tail until the segment fits again:
     // demotion re-enters probation at the MRU end, so a demoted-but-hot
     // entry gets a full probation lifetime to earn its way back.
-    protected_.MoveToFront(probation_, slot.pos);
-    slot.queue = &protected_;
-    protected_bytes_ += slot.pos->bytes;
+    protected_.MoveToFront(node);
+    protected_bytes_ += node->bytes;
     while (protected_bytes_ > protected_target_bytes_ && protected_.size() > 1) {
-      const auto tail = protected_.Back();
+      const Handle tail = protected_.Back();
       protected_bytes_ -= tail->bytes;
-      probation_.MoveToFront(protected_, tail);
-      index_.at(tail->id).queue = &probation_;
+      probation_.MoveToFront(tail);
     }
   }
 
-  void OnRemove(ObjectID object, RemovalCause /*cause*/) override {
-    const auto it = index_.find(object);
-    HOPLITE_CHECK(it != index_.end()) << "SegmentedLruPolicy: remove of untracked " << object;
-    const Slot slot = it->second;
-    index_.erase(it);
-    if (slot.queue == &protected_) protected_bytes_ -= slot.pos->bytes;
-    slot.queue->Erase(slot.pos);
+  void OnRemove(Handle node, RemovalCause /*cause*/) override {
+    if (node->queue == &protected_) protected_bytes_ -= node->bytes;
+    node->queue->Erase(node);
   }
 
   [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
     return ColdestOf(probation_, protected_);
+  }
+
+  [[nodiscard]] std::size_t size() const override {
+    return probation_.size() + protected_.size();
   }
 
  private:

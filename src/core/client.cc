@@ -954,10 +954,4 @@ void HopliteClient::OnDeathObserved() {
   for (const auto& promise : doomed) promise.reject(error);
 }
 
-void HopliteClient::OnRecovered() {
-  // Fresh process, empty store: nothing to restore. Re-creating lost
-  // objects is the task framework's job (lineage re-execution, §2.1); the
-  // apps here re-Put them by hand.
-}
-
 }  // namespace hoplite::core

@@ -168,8 +168,6 @@ class HopliteClient {
   /// The failure-detection delay for this node's death elapsed: fail every
   /// ref that was pending when it died with kProducerLost.
   void OnDeathObserved();
-  /// This node rejoined with a fresh, empty store.
-  void OnRecovered();
 
   // ------------------------------------------------------------------
   // QoS admission (per-tenant token buckets + outstanding-op caps).

@@ -25,6 +25,8 @@ HopliteCluster::HopliteCluster(Options options)
   network_ = net::MakeFabric(sim_, options_.network);
   directory_ = std::make_unique<directory::ObjectDirectory>(*network_, options_.directory);
   const int n = options_.network.num_nodes;
+  kills_.resize(static_cast<std::size_t>(n));
+  observed_kills_.resize(static_cast<std::size_t>(n));
   stores_.reserve(static_cast<std::size_t>(n));
   clients_.reserve(static_cast<std::size_t>(n));
   for (NodeID node = 0; node < n; ++node) {
@@ -72,24 +74,39 @@ void HopliteCluster::KillNode(NodeID node) {
   network_->FailNode(node);
   client(node).OnKilled();
   // ...but the rest of the cluster only notices after the socket-liveness
-  // detection delay. The directory is cleaned first (same timestamp, FIFO)
-  // so that re-claims triggered by the notifications never see the dead
-  // node's locations.
-  sim_.ScheduleAfter(options_.network.failure_detection_delay, [this, node] {
-    directory_->NodeFailed(node);
-    for (NodeID peer = 0; peer < num_nodes(); ++peer) {
-      if (peer != node && IsAlive(peer)) client(peer).OnPeerFailed(node);
-    }
+  // detection delay, unless the node rejoins first (RecoverNode).
+  const int kill = ++kills_[static_cast<std::size_t>(node)];
+  sim_.ScheduleAfter(options_.network.failure_detection_delay, [this, node, kill] {
+    const bool unobserved = observed_kills_[static_cast<std::size_t>(node)] < kill;
+    if (unobserved) ForgetNode(node);
     // The death is observable now: fail the refs that died with the node.
     client(node).OnDeathObserved();
-    NotifyMembership(node, /*alive=*/false);
+    if (unobserved) NotifyMembership(node, /*alive=*/false);
   });
+}
+
+void HopliteCluster::ForgetNode(NodeID node) {
+  const auto i = static_cast<std::size_t>(node);
+  observed_kills_[i] = kills_[i];
+  // The directory is cleaned first (same timestamp) so that re-claims
+  // triggered by the notifications never see the dead node's locations.
+  directory_->NodeFailed(node);
+  for (NodeID peer = 0; peer < num_nodes(); ++peer) {
+    if (peer != node && IsAlive(peer)) client(peer).OnPeerFailed(node);
+  }
 }
 
 void HopliteCluster::RecoverNode(NodeID node) {
   HOPLITE_CHECK(!IsAlive(node)) << "node " << node << " is not dead";
+  // A rejoin inside the detection delay: the old incarnation is observed
+  // dead now, so its delayed observation only fails the refs that died
+  // with it.
+  const auto i = static_cast<std::size_t>(node);
+  if (observed_kills_[i] < kills_[i]) {
+    ForgetNode(node);
+    NotifyMembership(node, /*alive=*/false);
+  }
   network_->RecoverNode(node);
-  client(node).OnRecovered();
   NotifyMembership(node, /*alive=*/true);
 }
 

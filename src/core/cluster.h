@@ -89,6 +89,11 @@ class HopliteCluster {
   void KillNode(NodeID node);
 
   /// Brings a node back with an empty store and a fresh client state.
+  /// Re-creating lost objects is the task framework's job (lineage
+  /// re-execution, §2.1); the apps here re-Put them by hand. A node that
+  /// rejoins before its death was observed is first observed dead here
+  /// (directory, live peers, "down" to listeners); the delayed observation
+  /// then only fails the refs that died with the old incarnation.
   void RecoverNode(NodeID node);
 
   /// Applies one fault-schedule entry now: KillNode when `kill`, else
@@ -101,7 +106,8 @@ class HopliteCluster {
 
   /// Registers an observer of membership changes. Kill notifications arrive
   /// after the failure-detection delay (like every other observer of a
-  /// death); recovery notifications arrive immediately.
+  /// death), or just before the recovery notification when the node
+  /// rejoins inside that delay; recovery notifications arrive immediately.
   ///
   /// Returns a scoped subscription: the listener is removed when the handle
   /// is destroyed (or reset), so a stack-owned observer that dies before the
@@ -155,6 +161,9 @@ class HopliteCluster {
  private:
   void RemoveMembershipListener(std::uint64_t id);
   void NotifyMembership(NodeID node, bool alive);
+  /// The directory's and the live peers' half of observing `node`'s latest
+  /// death.
+  void ForgetNode(NodeID node);
 
   Options options_;
   /// Owned engines when options_.engine is null (sharded one only when
@@ -166,6 +175,9 @@ class HopliteCluster {
   std::unique_ptr<directory::ObjectDirectory> directory_;
   std::vector<std::unique_ptr<store::LocalStore>> stores_;
   std::vector<std::unique_ptr<HopliteClient>> clients_;
+  /// Per node: kills so far, and how many of them ForgetNode has observed.
+  std::vector<int> kills_;
+  std::vector<int> observed_kills_;
   std::vector<std::pair<std::uint64_t, MembershipListener>> membership_listeners_;
   std::uint64_t next_listener_id_ = 1;
 };

@@ -389,17 +389,6 @@ void ObjectDirectory::ClaimSender(ObjectID object, NodeID receiver, ClaimCallbac
   });
 }
 
-void ObjectDirectory::CancelClaim(ObjectID object, NodeID receiver) {
-  auto it = objects_.find(object);
-  if (it == objects_.end()) return;
-  auto& parked = it->second.parked;
-  parked.erase(std::remove_if(parked.begin(), parked.end(),
-                              [receiver](const ParkedClaim& c) {
-                                return c.receiver == receiver;
-                              }),
-               parked.end());
-}
-
 void ObjectDirectory::ServeParked(ObjectID object) {
   auto obj_it = objects_.find(object);
   if (obj_it == objects_.end()) return;

@@ -157,9 +157,6 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   void ClaimSender(ObjectID object, NodeID receiver, ClaimCallback callback,
                    qos::TenantId tenant = qos::kNoTenant);
 
-  /// Cancels a parked claim for `receiver` (e.g. the receiver failed).
-  void CancelClaim(ObjectID object, NodeID receiver);
-
   /// Announces that `node` holds a complete cached copy of an *inline*
   /// object (the serving cache retained the payload). Resolves the object's
   /// pending-interest window, registers the node as a complete location so

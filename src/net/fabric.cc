@@ -76,7 +76,6 @@ void Fabric::FailNode(NodeID node) {
 void Fabric::RecoverNode(NodeID node) {
   CheckNode(node);
   failed_[static_cast<std::size_t>(node)] = false;
-  OnNodeRecovered(node);
 }
 
 bool Fabric::IsFailed(NodeID node) const {

@@ -188,7 +188,8 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   /// touching it fail the same way.
   void FailNode(NodeID node);
 
-  /// Clears the failed flag (the node rejoined with empty queues).
+  /// Clears the failed flag. The node's queues keep whatever its aborted
+  /// transfers had reserved; new transfers start no earlier than now.
   void RecoverNode(NodeID node);
 
   [[nodiscard]] bool IsFailed(NodeID node) const;
@@ -220,8 +221,6 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   /// FailNode hook: abort every in-flight transfer touching `node`,
   /// scheduling the surviving peers' failure notices.
   virtual void AbortTransfersOf(NodeID node) = 0;
-  /// RecoverNode hook: reset any per-node scheduling state.
-  virtual void OnNodeRecovered(NodeID /*node*/) {}
 
   void CheckNode(NodeID node) const {
     HOPLITE_CHECK_GE(node, 0);

@@ -64,14 +64,6 @@ void FlatFabric::AbortTransfersOf(NodeID failed) {
   }
 }
 
-void FlatFabric::OnNodeRecovered(NodeID node) {
-  // The rejoined node starts with idle queues no earlier than now.
-  egress_free_at_[static_cast<std::size_t>(node)] =
-      std::max(egress_free_at_[static_cast<std::size_t>(node)], sim_.Now());
-  ingress_free_at_[static_cast<std::size_t>(node)] =
-      std::max(ingress_free_at_[static_cast<std::size_t>(node)], sim_.Now());
-}
-
 SimTime FlatFabric::EgressFreeAt(NodeID node) const {
   CheckNode(node);
   return std::max(sim_.Now(), egress_free_at_[static_cast<std::size_t>(node)]);

@@ -47,7 +47,6 @@ class HOPLITE_DOMAIN_CONFINED FlatFabric final : public Fabric {
                      DeliveryCallback on_delivered, FailureCallback on_failed,
                      qos::TenantId tenant) override;
   void AbortTransfersOf(NodeID node) override;
-  void OnNodeRecovered(NodeID node) override;
 
  private:
   struct InFlight {

@@ -25,7 +25,7 @@ void LocalStore::CreatePartial(ObjectID object, std::int64_t size, CopyKind kind
   entry.state.size = size;
   entry.state.layout = ChunkLayout{size, chunk_size};
   entry.state.kind = kind;
-  policy_->OnInsert(object, size);
+  entry.node = policy_->OnInsert(object, size);
   used_bytes_ += size;
   peak_used_bytes_ = std::max(peak_used_bytes_, used_bytes_);
   entries_.emplace(object, std::move(entry));
@@ -62,7 +62,7 @@ void LocalStore::MarkComplete(ObjectID object, Buffer payload) {
     entry.state.complete = true;
     // Before any subscriber fires: one may create an entry in this store,
     // and the eviction that triggers must see this entry as a candidate.
-    ReportEvictability(object, entry);
+    ReportEvictability(entry);
     subs.reserve(entry.completion_subs.size());
     for (const auto& [token, cb] : entry.completion_subs) subs.push_back(cb);
     entry.completion_subs.clear();
@@ -95,7 +95,7 @@ void LocalStore::Remove(ObjectID object) {
 void LocalStore::EraseEntry(std::unordered_map<ObjectID, Entry>::iterator it,
                             cache::RemovalCause cause) {
   used_bytes_ -= it->second.state.size;
-  policy_->OnRemove(it->first, cause);
+  policy_->OnRemove(it->second.node, cause);
   entries_.erase(it);
 }
 
@@ -156,7 +156,7 @@ void LocalStore::Unsubscribe(ObjectID object, std::uint64_t token) {
 void LocalStore::Ref(ObjectID object) {
   Entry& entry = MutableEntry(object);
   entry.refs += 1;
-  ReportEvictability(object, entry);
+  ReportEvictability(entry);
 }
 
 void LocalStore::Unref(ObjectID object) {
@@ -164,19 +164,16 @@ void LocalStore::Unref(ObjectID object) {
   if (it == entries_.end()) return;  // removed while referenced (Delete wins)
   HOPLITE_CHECK_GT(it->second.refs, 0);
   it->second.refs -= 1;
-  ReportEvictability(object, it->second);
+  ReportEvictability(it->second);
   MaybeEvict();
 }
 
-void LocalStore::ReportEvictability(ObjectID object, const Entry& e) {
+void LocalStore::ReportEvictability(const Entry& e) {
   // An unbounded store never picks a victim, so its policy needs no order.
-  if (capacity_bytes_ > 0) policy_->SetEvictable(object, Evictable(e));
+  if (capacity_bytes_ > 0) policy_->SetEvictable(e.node, Evictable(e));
 }
 
-void LocalStore::Touch(ObjectID object) {
-  HOPLITE_CHECK(Contains(object)) << "object " << object << " not in store of node " << node_;
-  policy_->OnTouch(object);
-}
+void LocalStore::Touch(ObjectID object) { policy_->OnTouch(EntryOf(object).node); }
 
 std::vector<ObjectID> LocalStore::ListObjects() const {
   return det::SortedKeys(entries_);
@@ -199,8 +196,8 @@ void LocalStore::AuditAccounting() const {
       HOPLITE_AUDIT(e.completion_subs.empty())
           << object << " kept completion subscribers past completion";
     }
-    HOPLITE_AUDIT(policy_->Contains(object)) << object << " resident but untracked by policy";
-    HOPLITE_AUDIT(policy_->IsEvictable(object) == (capacity_bytes_ > 0 && Evictable(e)))
+    HOPLITE_AUDIT(e.node->id == object) << object << " holds another entry's policy node";
+    HOPLITE_AUDIT(policy_->IsEvictable(e.node) == (capacity_bytes_ > 0 && Evictable(e)))
         << object << " evictability differs from the policy's victim order";
     for (const auto& sub : e.chunk_subs) HOPLITE_AUDIT(sub.first < e.next_token);
     for (const auto& sub : e.completion_subs) HOPLITE_AUDIT(sub.first < e.next_token);

@@ -130,14 +130,15 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
 
   /// Full byte-accounting walk (audit builds; also directly callable from
   /// tests): used_bytes == sum of resident entry sizes, non-negative ref
-  /// counts, every entry tracked by the eviction policy and marked
-  /// evictable there exactly when it is (never, in an unbounded store),
+  /// counts, one policy node per entry, each naming its entry and marked
+  /// evictable exactly when the entry is (never, in an unbounded store),
   /// complete entries with full chunk prefixes and attached payloads.
   void AuditAccounting() const;
 
  private:
   struct Entry {
     ObjectState state;
+    cache::EvictionPolicy::Handle node;  ///< this entry's node in the policy's queues
     std::int64_t refs = 0;
     std::uint64_t next_token = 1;
     // det::Map so callback firing order is ascending token == subscription
@@ -153,7 +154,7 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   }
   /// Passes Evictable(e) to the policy. Called wherever it can flip:
   /// completion, Ref and Unref (an entry's kind is fixed at CreatePartial).
-  void ReportEvictability(ObjectID object, const Entry& e);
+  void ReportEvictability(const Entry& e);
   void MaybeEvict();
   void EraseEntry(std::unordered_map<ObjectID, Entry>::iterator it,
                   cache::RemovalCause cause);

@@ -278,14 +278,15 @@ TEST_F(DirectoryTest, DeleteReturnsHoldersAndDropsEntry) {
   EXPECT_FALSE(dir_.HasObject(obj_));
 }
 
-TEST_F(DirectoryTest, CancelClaimDropsParkedQuery) {
-  bool replied = false;
-  dir_.ClaimSender(obj_, 5, [&](const ClaimReply&) { replied = true; });
+TEST_F(DirectoryTest, NodeFailureDropsOnlyTheDeadReceiversParkedClaims) {
+  std::vector<NodeID> replied;
+  dir_.ClaimSender(obj_, 5, [&](const ClaimReply&) { replied.push_back(5); });
+  dir_.ClaimSender(obj_, 6, [&](const ClaimReply&) { replied.push_back(6); });
   sim_.Run();
-  dir_.CancelClaim(obj_, 5);
+  dir_.NodeFailed(5);
   dir_.RegisterPartial(obj_, 2, MB(1));
   sim_.Run();
-  EXPECT_FALSE(replied);
+  EXPECT_EQ(replied, (std::vector<NodeID>{6}));
 }
 
 TEST_F(DirectoryTest, ShardIsStableAndInRange) {

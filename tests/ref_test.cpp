@@ -415,6 +415,35 @@ TEST(MembershipSubscriptionTest, DroppedHandleStopsNotifications) {
   EXPECT_EQ(outer_events, 2);
 }
 
+TEST(MembershipSubscriptionTest, RejoinInsideTheDetectionDelayIsNotReportedDeadLater) {
+  // Node 1 rejoins 50 ms after its kill, long before the 740 ms detection
+  // delay runs out: the rejoin reports the death first, and the delayed
+  // observation must neither report the live node dead again nor erase
+  // the locations its new incarnation registered.
+  core::HopliteCluster::Options options = TestOptions(3);
+  options.network.failure_detection_delay = Milliseconds(740);
+  core::HopliteCluster cluster(options);
+  std::vector<std::pair<SimTime, bool>> heard;
+  const auto subscription = cluster.AddMembershipListener(
+      [&](NodeID, bool alive) { heard.emplace_back(cluster.Now(), alive); });
+  const ObjectID id = ObjectID::FromName("rejoined");
+  auto& sim = cluster.simulator();
+  sim.ScheduleAt(Milliseconds(100), [&] { cluster.KillNode(1); });
+  sim.ScheduleAt(Milliseconds(150), [&] { cluster.RecoverNode(1); });
+  sim.ScheduleAt(Milliseconds(200),
+                 [&] { cluster.client(1).Put(id, store::Buffer::OfSize(MB(1))); });
+  std::optional<store::Buffer> got;
+  sim.ScheduleAt(Milliseconds(900), [&] {
+    cluster.client(2).Get(id).Then([&](const store::Buffer& b) { got = b; });
+  });
+  cluster.RunAll();
+  EXPECT_EQ(heard, (std::vector<std::pair<SimTime, bool>>{{Milliseconds(150), false},
+                                                          {Milliseconds(150), true}}));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size(), MB(1));
+  EXPECT_EQ(cluster.directory().LocationsOf(id), (std::vector<NodeID>{1, 2}));
+}
+
 TEST(MembershipSubscriptionTest, HandleIsMovable) {
   core::HopliteCluster cluster(TestOptions(2));
   int events = 0;
