@@ -477,5 +477,96 @@ TEST(RackFabricGoldenTest, WfqAqmTraceIsPinned) {
   EXPECT_EQ(trace.aqm_marks, 38);
 }
 
+/// The same kind of mix with no cancels and no failure notices: 400 flows
+/// from the same seed and five outages. Three outages last under a
+/// millisecond, less than a large flow spends on the shared uplink, so nodes
+/// rejoin while flows they dropped would still be on the wire. Starts,
+/// deliveries and backpressure are folded: a flow that touches a dead node
+/// simply never delivers.
+GoldenTrace ReplayOutageMix(bool wfq, bool aqm) {
+  ClusterConfig cfg = RackConfig(8, 2, 16.0);
+  cfg.qos.wfq = wfq;
+  cfg.qos.aqm = aqm;
+  sim::Simulator sim;
+  RackFabric net(sim, cfg);
+  GoldenTrace trace;
+  net.SetBackpressureHandler([&](NodeID src, qos::TenantId tenant) {
+    ++trace.backpressured;
+    trace.Fold(3, static_cast<std::uint64_t>(src), static_cast<std::uint64_t>(tenant),
+               sim.Now());
+  });
+
+  Rng rng(20211);
+  std::vector<TransferId> ids(400, kInvalidTransfer);
+  for (int i = 0; i < 400; ++i) {
+    const SimTime at = static_cast<SimTime>(i / 4) * Microseconds(1500) +
+                       static_cast<SimTime>(rng.NextBounded(3)) * Microseconds(1);
+    auto src = static_cast<NodeID>(rng.NextBounded(4));
+    auto dst = static_cast<NodeID>(4 + rng.NextBounded(2));
+    const std::uint64_t shape = rng.NextBounded(16);
+    if (shape == 0) dst = static_cast<NodeID>((src + 1) % 4);  // intra-rack
+    if (shape == 1) std::swap(src, dst);                      // reverse uplink
+    const auto tenant = static_cast<qos::TenantId>(rng.NextBounded(3));
+    const std::int64_t bytes =
+        rng.NextBounded(6) == 0
+            ? 1 + static_cast<std::int64_t>(rng.NextBounded(3))
+            : KB(64) + static_cast<std::int64_t>(rng.NextBounded(64)) * KB(32);
+    const auto slot = static_cast<std::size_t>(i);
+    sim.ScheduleAt(at, [&net, &sim, &trace, &ids, slot, src, dst, bytes, tenant] {
+      const TransferId id = net.Send(
+          src, dst, bytes,
+          [&sim, &trace, &ids, slot] {
+            ++trace.delivered;
+            trace.Fold(1, ids[slot], 0, sim.Now());
+          },
+          /*on_failed=*/nullptr, tenant);
+      ids[slot] = id;
+      trace.Fold(0, id, static_cast<std::uint64_t>(bytes), sim.Now());
+    });
+  }
+  struct Outage {
+    NodeID node;
+    SimTime at;
+    SimDuration length;
+  };
+  for (const Outage& outage : {Outage{2, Milliseconds(18), Microseconds(600)},
+                               Outage{5, Milliseconds(40), Milliseconds(30)},
+                               Outage{0, Milliseconds(96), Microseconds(700)},
+                               Outage{1, Milliseconds(110), Milliseconds(15)},
+                               Outage{3, Milliseconds(150), Microseconds(500)}}) {
+    const NodeID node = outage.node;
+    sim.ScheduleAt(outage.at, [&net, node] { net.FailNode(node); });
+    sim.ScheduleAt(outage.at + outage.length, [&net, node] { net.RecoverNode(node); });
+  }
+  sim.Run();
+  EXPECT_EQ(net.wire_flows(), 0u);
+  trace.aqm_marks = net.aqm_marks();
+  return trace;
+}
+
+TEST(RackFabricGoldenTest, PlainMaxMinOutageTraceIsPinned) {
+  const GoldenTrace trace = ReplayOutageMix(/*wfq=*/false, /*aqm=*/false);
+  EXPECT_EQ(trace.digest, 0x9256d0471ab69996ULL);
+  EXPECT_EQ(trace.delivered, 193);
+  EXPECT_EQ(trace.backpressured, 0);
+  EXPECT_EQ(trace.aqm_marks, 0);
+}
+
+TEST(RackFabricGoldenTest, WfqOutageTraceIsPinned) {
+  const GoldenTrace trace = ReplayOutageMix(/*wfq=*/true, /*aqm=*/false);
+  EXPECT_EQ(trace.digest, 0x77012395208364ddULL);
+  EXPECT_EQ(trace.delivered, 197);
+  EXPECT_EQ(trace.backpressured, 0);
+  EXPECT_EQ(trace.aqm_marks, 0);
+}
+
+TEST(RackFabricGoldenTest, WfqAqmOutageTraceIsPinned) {
+  const GoldenTrace trace = ReplayOutageMix(/*wfq=*/true, /*aqm=*/true);
+  EXPECT_EQ(trace.digest, 0x196346c06baf3f2cULL);
+  EXPECT_EQ(trace.delivered, 195);
+  EXPECT_EQ(trace.backpressured, 57);
+  EXPECT_EQ(trace.aqm_marks, 18);
+}
+
 }  // namespace
 }  // namespace hoplite::net
