@@ -10,7 +10,14 @@ compares `outcome_digest` (a digest of every op's issue and settle instants,
 success and error) and the `sim` block (the simulated end-to-end metrics),
 which repeat exactly for a seed. Host-time fields are ignored. It prints one
 markdown table row per run and exits 1 when any run differs, is missing on
-one side, or failed its own checks. Standard library only.
+one side, or failed its own checks.
+
+Runs made with `--trace` also carry a `layers` block of per-layer work
+counters. The script lists, in a second table, every deterministic counter
+that differs between base and head (host-time names are skipped: `*_wall_s`,
+`*_ns`, `*_us` and `trace.*`). A change may move those counters on purpose,
+so they are reported only and never change the exit status. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -40,6 +47,18 @@ def compare(base: dict | None, head: dict | None) -> tuple[str, str]:
     return "identical", ""
 
 
+def host_time(name: str) -> bool:
+    """Whether a `layers` counter measures host time rather than work."""
+    return name.startswith("trace.") or name.endswith(("_wall_s", "_ns", "_us"))
+
+
+def moved_counters(base: dict, head: dict) -> list[tuple[str, float, float]]:
+    """(name, base, head) of every deterministic `layers` counter that differs."""
+    return [(name, base.get(name), head.get(name))
+            for name in sorted(set(base) | set(head))
+            if not host_time(name) and base.get(name) != head.get(name)]
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -51,14 +70,27 @@ def main() -> int:
         return 1
     print("| run | outcome digest (base / head) | verdict | detail |")
     print("|---|---|---|---|")
-    bad = 0
+    bad = traced = 0
+    counters = []
     for name in names:
         base, head = load(base_dir / name), load(head_dir / name)
         verdict, detail = compare(base, head)
         digests = " / ".join(r["outcome_digest"] if r else "-" for r in (base, head))
         print(f"| {Path(name).stem} | {digests} | {verdict} | {detail} |")
         bad += verdict != "identical"
+        if base and head and base.get("layers") and head.get("layers"):
+            traced += 1
+            counters += [(Path(name).stem, *moved)
+                         for moved in moved_counters(base["layers"], head["layers"])]
     print(f"\n{len(names) - bad} of {len(names)} runs identical")
+    print(f"\nDeterministic work counters (`layers` of {traced} runs traced on both sides):")
+    if counters:
+        print("\n| run | counter | base | head |")
+        print("|---|---|---|---|")
+        for run, counter, base_value, head_value in counters:
+            print(f"| {run} | {counter} | {base_value} | {head_value} |")
+    else:
+        print("none differs")
     return 1 if bad else 0
 
 

@@ -1,5 +1,6 @@
 #include "baselines/ray_like.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -110,14 +111,26 @@ Ref<SimTime> RayLikeTransport::Allreduce(NodeID root, const std::vector<ObjectID
 void RayLikeTransport::ScheduleFaults(const std::vector<net::FaultEvent>& faults,
                                       SimDuration detection_delay,
                                       const std::function<void(NodeID, bool)>& listener) {
+  // Per node, the instant of its latest kill `listener` has not heard of
+  // yet (-1: none). A rejoin reports it first; its late notice stays silent.
+  auto unheard = std::make_shared<std::vector<SimTime>>(net_.num_nodes(), -1);
   for (const net::FaultEvent& fault : faults) {
     const NodeID node = fault.node;
+    const auto i = static_cast<std::size_t>(node);
+    const SimTime at = fault.at;
     if (fault.kill) {
-      sim_.ScheduleAt(fault.at, [this, node] { net_.FailNode(node); });
-      sim_.ScheduleAt(fault.at + detection_delay,
-                      [listener, node] { listener(node, /*alive=*/false); });
+      sim_.ScheduleAt(at, [this, unheard, node, i, at] {
+        net_.FailNode(node);
+        (*unheard)[i] = at;
+      });
+      sim_.ScheduleAt(at + detection_delay, [unheard, listener, node, i, at] {
+        if ((*unheard)[i] != at) return;
+        (*unheard)[i] = -1;
+        listener(node, /*alive=*/false);
+      });
     } else {
-      sim_.ScheduleAt(fault.at, [this, listener, node] {
+      sim_.ScheduleAt(at, [this, unheard, listener, node, i] {
+        if (std::exchange((*unheard)[i], -1) != -1) listener(node, /*alive=*/false);
         net_.RecoverNode(node);
         listener(node, /*alive=*/true);
       });

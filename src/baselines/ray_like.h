@@ -103,9 +103,9 @@ class RayLikeTransport {
 
   /// Schedules `faults` on the fabric, all events now and in list order. A
   /// kill fails the node's endpoint at its instant, and `listener` hears
-  /// (node, false) `detection_delay` later; a recovery restores the endpoint
-  /// and `listener` hears (node, true) at once, like HopliteCluster's
-  /// membership listeners.
+  /// (node, false) `detection_delay` later, or at a rejoin that comes first;
+  /// a recovery restores the endpoint and `listener` hears (node, true) at
+  /// once, like HopliteCluster's membership listeners.
   void ScheduleFaults(const std::vector<net::FaultEvent>& faults,
                       SimDuration detection_delay,
                       const std::function<void(NodeID, bool alive)>& listener);

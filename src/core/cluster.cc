@@ -64,8 +64,9 @@ void HopliteCluster::SendControl(NodeID from, NodeID to, std::function<void()> h
 
 void HopliteCluster::SendData(NodeID from, NodeID to, std::int64_t bytes,
                               std::function<void()> handler, qos::TenantId tenant) {
-  if (network_->IsFailed(from) || network_->IsFailed(to)) return;  // dropped
-  network_->Send(from, to, bytes, std::move(handler), /*on_failed=*/nullptr, tenant);
+  // Dropped before Send so it uses up no TransferId (RackFabric orders flows by id).
+  if (network_->IsFailed(from) || network_->IsFailed(to)) return;
+  network_->Send(from, to, bytes, std::move(handler), tenant);
 }
 
 void HopliteCluster::KillNode(NodeID node) {

@@ -179,7 +179,7 @@ void ObjectDirectory::PutInline(ObjectID object, NodeID creator, store::Buffer p
           if (on_stored) on_stored();
         });
       },
-      /*on_failed=*/nullptr, tenant);
+      tenant);
 }
 
 void ObjectDirectory::DeleteObject(ObjectID object,
@@ -410,7 +410,7 @@ void ObjectDirectory::ServeParked(ObjectID object) {
                     [callback = std::move(claim.callback), reply = std::move(reply)] {
                       callback(reply);
                     },
-                    /*on_failed=*/nullptr, claim.tenant);
+                    claim.tenant);
     }
     return;
   }
@@ -475,7 +475,7 @@ void ObjectDirectory::ServeInlineFromShard(ObjectID object, const ObjectEntry& e
                 [callback = std::move(callback), reply = std::move(reply)] {
                   callback(reply);
                 },
-                /*on_failed=*/nullptr, tenant);
+                tenant);
 }
 
 void ObjectDirectory::TransferFinished(ObjectID object, NodeID sender, NodeID receiver) {

@@ -24,21 +24,16 @@ Fabric::Fabric(sim::Engine& simulator, ClusterConfig config)
 Fabric::~Fabric() = default;
 
 TransferId Fabric::Send(NodeID src, NodeID dst, std::int64_t bytes,
-                        DeliveryCallback on_delivered, FailureCallback on_failed,
-                        qos::TenantId tenant) {
+                        DeliveryCallback on_delivered, qos::TenantId tenant) {
   CheckNode(src);
   CheckNode(dst);
   HOPLITE_CHECK_GE(bytes, 0);
   HOPLITE_CHECK(on_delivered != nullptr);
 
+  // Drawn even for a dropped send: RackFabric orders classes and completions by id.
   const TransferId id = next_transfer_id_++;
 
-  // A transfer to or from a dead node is noticed by the live peer once the
-  // socket times out.
-  if (NodeFailed(src) || NodeFailed(dst)) {
-    ScheduleFailureNotice(std::move(on_failed), NodeFailed(src) ? src : dst);
-    return id;
-  }
+  if (NodeFailed(src) || NodeFailed(dst)) return id;  // dropped
 
   if (src == dst) {
     // Local "transfer": data moves through memory, not the NIC.
@@ -47,7 +42,7 @@ TransferId Fabric::Send(NodeID src, NodeID dst, std::int64_t bytes,
   }
 
   CountMessage(src, dst, bytes, tenant);
-  StartTransfer(id, src, dst, bytes, std::move(on_delivered), std::move(on_failed), tenant);
+  StartTransfer(id, src, dst, bytes, std::move(on_delivered), tenant);
   return id;
 }
 
@@ -102,12 +97,6 @@ void Fabric::CountMessage(NodeID src, NodeID dst, std::int64_t bytes,
 std::int64_t Fabric::TenantBytes(qos::TenantId tenant) const {
   const auto it = tenant_bytes_.find(tenant);
   return it == tenant_bytes_.end() ? 0 : it->second;
-}
-
-void Fabric::ScheduleFailureNotice(FailureCallback on_failed, NodeID dead) {
-  if (on_failed == nullptr) return;
-  sim_.ScheduleAfter(config_.failure_detection_delay,
-                     [cb = std::move(on_failed), dead] { cb(dead); });
 }
 
 std::unique_ptr<Fabric> MakeFabric(sim::Engine& simulator, ClusterConfig config) {

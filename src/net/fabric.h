@@ -1,9 +1,9 @@
 // The cluster fabric abstraction.
 //
 // `Fabric` is the interface every layer above the event engine talks to:
-// point-to-point sends with delivery/failure callbacks, in-flight transfer
-// cancellation, a per-node memcpy resource for worker<->store copies, and
-// the failure-injection surface. Two implementations exist:
+// point-to-point sends (dropped when an endpoint dies), a per-node memcpy
+// resource for worker<->store copies, and the failure-injection surface.
+// Two implementations exist:
 //
 //   * FlatFabric (net/network.h) — the paper's same-AZ EC2 testbed: one
 //     serialized egress queue and one serialized ingress queue per node,
@@ -109,7 +109,7 @@ struct ClusterConfig {
   }
 };
 
-/// Identifier of an in-flight transfer, usable for cancellation.
+/// Identifier of a transfer: one per Send, in call order.
 using TransferId = std::uint64_t;
 inline constexpr TransferId kInvalidTransfer = 0;
 
@@ -135,17 +135,14 @@ struct NodeTrafficStats {
 ///
 /// The base class owns what every implementation shares — the failure
 /// flags, traffic counters and the per-node memcpy resource — so the
-/// interface methods have uniform semantics across topologies; transfer
-/// scheduling itself (Send / CancelTransfer) is implementation-defined.
+/// interface methods have uniform semantics across topologies; only wire
+/// scheduling (StartTransfer / AbortTransfersOf) is implementation-defined.
 // hoplite-sa: owner(Fabric) -- constructed by HopliteCluster (or a bench
 // harness) before the first event and destroyed after the engine drains;
 // every wire/memcpy event it schedules fires within that window.
 class HOPLITE_DOMAIN_CONFINED Fabric {
  public:
   using DeliveryCallback = std::function<void()>;
-  /// Invoked (instead of delivery) when the peer node fails; the argument is
-  /// the failed node.
-  using FailureCallback = std::function<void(NodeID)>;
   /// ECN-like congestion signal from the fabric's AQM: (sending node whose
   /// transfer was marked, tenant the marked queue belongs to).
   using BackpressureHandler = std::function<void(NodeID, qos::TenantId)>;
@@ -156,11 +153,11 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   Fabric& operator=(const Fabric&) = delete;
 
   /// Sends `bytes` from `src` to `dst`. `on_delivered` fires when the last
-  /// byte arrives at `dst`. If either endpoint fails first, `on_failed`
-  /// fires after the configured detection delay instead (if provided).
+  /// byte arrives at `dst`, unless an endpoint is dead at the send or dies
+  /// before the delivery (rejoining or not): then the send is dropped.
   /// Self-sends (src == dst) are delivered through the memcpy resource.
   ///
-  /// Non-virtual template method: the checks, failed-endpoint notice,
+  /// Non-virtual template method: the checks, dead-endpoint drop,
   /// self-send-to-Memcpy path and traffic counting are uniform across
   /// topologies; only the wire scheduling (StartTransfer) is
   /// implementation-defined.
@@ -168,27 +165,18 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   // sanctioned way state crosses a domain boundary (payload travels as
   // timestamped wire events, never as shared memory).
   TransferId Send(NodeID src, NodeID dst, std::int64_t bytes, DeliveryCallback on_delivered,
-                  FailureCallback on_failed = nullptr,
                   qos::TenantId tenant = qos::kNoTenant);
-
-  /// Cancels an in-flight transfer: neither callback will fire. Returns
-  /// false if the transfer already completed/failed. The wire time already
-  /// consumed is not returned (the bytes were on the wire).
-  // hoplite-sa: mailbox -- cancelling a transfer you started is part of the
-  // data-plane surface (receiver-side redirection, Table 1 semantics).
-  virtual bool CancelTransfer(TransferId id) = 0;
 
   /// Occupies `node`'s memcpy engine for bytes/kMemcpyBandwidth, then `done`.
   // hoplite-sa: mailbox -- local-copy half of the data plane, same contract
   // as Send with src == dst.
   void Memcpy(NodeID node, std::int64_t bytes, DeliveryCallback done);
 
-  /// Marks a node as failed: every in-flight transfer touching it reports
-  /// failure to the surviving peer after the detection delay; new transfers
-  /// touching it fail the same way.
+  /// Marks a node as failed: transfers touching it in flight or sent before
+  /// RecoverNode are dropped; noticing the death is the membership layer's job.
   void FailNode(NodeID node);
 
-  /// Clears the failed flag. The node's queues keep whatever its aborted
+  /// Clears the failed flag. The node's queues keep whatever its dropped
   /// transfers had reserved; new transfers start no earlier than now.
   void RecoverNode(NodeID node);
 
@@ -215,11 +203,9 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   /// are live, src != dst, bytes >= 0, and the traffic counters are already
   /// charged when this runs.
   virtual void StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64_t bytes,
-                             DeliveryCallback on_delivered, FailureCallback on_failed,
-                             qos::TenantId tenant) = 0;
+                             DeliveryCallback on_delivered, qos::TenantId tenant) = 0;
 
-  /// FailNode hook: abort every in-flight transfer touching `node`,
-  /// scheduling the surviving peers' failure notices.
+  /// FailNode hook: drop every in-flight transfer touching `node`.
   virtual void AbortTransfersOf(NodeID node) = 0;
 
   void CheckNode(NodeID node) const {
@@ -239,9 +225,6 @@ class HOPLITE_DOMAIN_CONFINED Fabric {
   /// later in-flight failure does not refund the counters — the bytes were
   /// committed to the wire).
   void CountMessage(NodeID src, NodeID dst, std::int64_t bytes, qos::TenantId tenant);
-
-  /// Schedules `on_failed(dead)` one failure-detection delay from now.
-  void ScheduleFailureNotice(FailureCallback on_failed, NodeID dead);
 
   /// Delivers the AQM's ECN-like mark signal to the installed handler.
   void NotifyBackpressure(NodeID src, qos::TenantId tenant) {

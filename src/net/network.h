@@ -13,11 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/det.h"
 #include "common/ids.h"
 #include "common/units.h"
 #include "net/fabric.h"
@@ -34,8 +32,6 @@ class HOPLITE_DOMAIN_CONFINED FlatFabric final : public Fabric {
  public:
   FlatFabric(sim::Engine& simulator, ClusterConfig config);
 
-  bool CancelTransfer(TransferId id) override;
-
   /// First instant at which a new transfer out of `node` could start
   /// (egress queue drain time; never earlier than Now()).
   [[nodiscard]] SimTime EgressFreeAt(NodeID node) const;
@@ -44,21 +40,15 @@ class HOPLITE_DOMAIN_CONFINED FlatFabric final : public Fabric {
 
  protected:
   void StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64_t bytes,
-                     DeliveryCallback on_delivered, FailureCallback on_failed,
-                     qos::TenantId tenant) override;
+                     DeliveryCallback on_delivered, qos::TenantId tenant) override;
   void AbortTransfersOf(NodeID node) override;
 
  private:
-  struct InFlight {
-    NodeID src = kInvalidNode;
-    NodeID dst = kInvalidNode;
-    sim::EventId delivery_event;
-    FailureCallback on_failed;  // may be empty
-  };
-
   std::vector<SimTime> egress_free_at_;
   std::vector<SimTime> ingress_free_at_;
-  std::unordered_map<TransferId, InFlight> in_flight_;
+  /// Per node, how often it has failed: a delivery whose endpoints' counts
+  /// moved since its send is dropped. 32 bits keep its capture in 64 bytes.
+  std::vector<std::uint32_t> deaths_;
 };
 
 }  // namespace hoplite::net

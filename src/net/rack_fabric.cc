@@ -150,14 +150,12 @@ RackFabric::Record RackFabric::MinRecordOf(const FlowClass& fc) {
 }
 
 void RackFabric::StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64_t bytes,
-                               DeliveryCallback on_delivered, FailureCallback on_failed,
-                               qos::TenantId tenant) {
+                               DeliveryCallback on_delivered, qos::TenantId tenant) {
   Flow flow;
   flow.src = src;
   flow.dst = dst;
   flow.tenant = tenant;
   flow.on_delivered = std::move(on_delivered);
-  flow.on_failed = std::move(on_failed);
   auto [it, inserted] = flows_.emplace(id, std::move(flow));
   HOPLITE_CHECK(inserted);
   Flow& f = it->second;
@@ -253,55 +251,25 @@ void RackFabric::ShrinkClass(std::size_t cls, int count, std::vector<std::size_t
   free_classes_.push_back(cls);
 }
 
-bool RackFabric::CancelTransfer(TransferId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  Flow& flow = it->second;
-  if (flow.stage != Stage::kWire) {
-    // kDelivery and kPaused both hold exactly one pending event (the
-    // delivery, or the AQM resume) and occupy no links.
-    sim_.Cancel(flow.delivery_event);
-    flows_.erase(it);
-    return true;
-  }
-  std::vector<std::size_t>& dirty = dirty_scratch_;
-  dirty.clear();
-  LeaveClass(id, flow, dirty);
-  flows_.erase(it);
-  Recompute(dirty);
-  RescheduleCompletion();
-  return true;
-}
-
 void RackFabric::AbortTransfersOf(NodeID node) {
-  // Deterministic order: walk the flow table by ascending id and collect the
-  // victims before processing (failure callbacks may start new transfers).
-  std::vector<TransferId> victims;
-  for (const TransferId id : det::SortedKeys(flows_)) {
-    const Flow& flow = flows_.find(id)->second;
-    if (flow.src == node || flow.dst == node) victims.push_back(id);
-  }
-  // Collect callbacks before notifying.
-  std::vector<FailureCallback> to_notify;
+  // Drops every flow touching `node`, by ascending id: a wire flow leaves its
+  // class, any other cancels its one pending event (delivery or AQM resume).
   std::vector<std::size_t>& dirty = dirty_scratch_;
   dirty.clear();
-  for (const TransferId id : victims) {
-    auto it = flows_.find(id);
-    Flow& flow = it->second;
+  for (const TransferId id : det::SortedKeys(flows_)) {
+    const auto it = flows_.find(id);
+    const Flow& flow = it->second;
+    if (flow.src != node && flow.dst != node) continue;
     if (flow.stage != Stage::kWire) {
-      sim_.Cancel(flow.delivery_event);  // delivery, or the AQM resume
+      sim_.Cancel(flow.delivery_event);
     } else {
       LeaveClass(id, flow, dirty);
     }
-    if (flow.on_failed != nullptr) to_notify.push_back(std::move(flow.on_failed));
     flows_.erase(it);
   }
   if (!dirty.empty()) {
     Recompute(dirty);
     RescheduleCompletion();
-  }
-  for (auto& cb : to_notify) {
-    ScheduleFailureNotice(std::move(cb), node);
   }
 }
 

@@ -14,8 +14,8 @@
 //
 // Unlike FlatFabric's serialized per-node queues, concurrent flows here
 // share links fluidly: rates follow progressive filling (max-min fairness),
-// recomputed event-driven whenever a flow starts, finishes, is cancelled or
-// fails. Iteration orders are fixed (classes by their smallest live
+// recomputed event-driven whenever a flow starts, finishes, pauses, resumes
+// or is dropped. Iteration orders are fixed (classes by their smallest live
 // TransferId, members and completions by ascending TransferId), so runs stay
 // bit-reproducible. This is the regime of inter-datacenter congestion
 // studies (Zeng; Sander et al. for flow-rate fairness) that the flat testbed
@@ -33,7 +33,7 @@
 //    bit-identical to treating every flow alone. An incast of a thousand
 //    flows between a few node pairs costs a handful of classes per event.
 //  * Max-min allocations factorize over connected components of the
-//    class/link sharing graph, so a flow start/finish/cancel only
+//    class/link sharing graph, so a flow start/finish/drop only
 //    recomputes the component reachable from the links it touched
 //    (dirty-link BFS). Rates are assigned as per-bottleneck water levels —
 //    a direct (capacity - frozen) / unfrozen division — so a
@@ -105,8 +105,6 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
 
   RackFabric(sim::Engine& simulator, ClusterConfig config);
 
-  bool CancelTransfer(TransferId id) override;
-
   // ---------------- introspection for tests and benches ----------------
 
   [[nodiscard]] int num_racks() const noexcept { return num_racks_; }
@@ -124,8 +122,7 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
 
  protected:
   void StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64_t bytes,
-                     DeliveryCallback on_delivered, FailureCallback on_failed,
-                     qos::TenantId tenant) override;
+                     DeliveryCallback on_delivered, qos::TenantId tenant) override;
   void AbortTransfersOf(NodeID node) override;
 
  private:
@@ -160,7 +157,6 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
     sim::EventId delivery_event;  ///< valid in kDelivery; doubles as the
                                   ///< resume event while kPaused
     DeliveryCallback on_delivered;
-    FailureCallback on_failed;  // may be empty
   };
 
   /// One wire flow inside its class: all that per-flow progress needs.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "baselines/collectives.h"
@@ -290,6 +291,27 @@ TEST(RayLikeTest, ReduceFetchesEverythingToRoot) {
   ray.Get(0, ObjectID::FromName("sum")).Then([&] { fetched = true; });
   sim.Run();
   EXPECT_TRUE(fetched);
+}
+
+TEST(RayLikeFaultTest, RejoinInsideTheDetectionDelayIsNotReportedDeadLater) {
+  // Node 1 dies at 100 ms and rejoins at 150 ms, inside the 740 ms detection
+  // delay: the listener hears the death at the rejoin, just before the
+  // recovery, and the notice due at 840 ms stays silent.
+  sim::Simulator sim;
+  net::FlatFabric net(sim, NetConfig(4));
+  RayLikeTransport ray(sim, net, RayLikeConfig::Ray());
+  std::vector<std::pair<SimTime, bool>> heard;
+  ray.ScheduleFaults({{.at = Milliseconds(100), .node = 1, .kill = true},
+                      {.at = Milliseconds(150), .node = 1, .kill = false}},
+                     Milliseconds(740), [&](NodeID node, bool alive) {
+                       EXPECT_EQ(node, 1);
+                       heard.emplace_back(sim.Now(), alive);
+                     });
+  sim.Run();
+  const std::vector<std::pair<SimTime, bool>> expected = {{Milliseconds(150), false},
+                                                          {Milliseconds(150), true}};
+  EXPECT_EQ(heard, expected);
+  EXPECT_FALSE(net.IsFailed(1));
 }
 
 TEST(RayLikeTest, DaskIsSlowerThanRay) {

@@ -152,37 +152,45 @@ TEST(NetworkTest, HeterogeneousBandwidthUsesSlowerEnd) {
   EXPECT_EQ(delivered_at, TransferTime(MB(1), Gbps(1)) + Microseconds(50));
 }
 
-TEST(NetworkTest, FailedDestinationReportsFailureAfterDetectionDelay) {
+TEST(NetworkTest, SendToFailedNodeIsDropped) {
   sim::Simulator sim;
   FlatFabric net(sim, TestConfig(2));
   net.FailNode(1);
   bool delivered = false;
-  NodeID failed_node = kInvalidNode;
-  SimTime failed_at = -1;
-  net.Send(0, 1, MB(1), [&] { delivered = true; },
-           [&](NodeID n) {
-             failed_node = n;
-             failed_at = sim.Now();
-           });
+  net.Send(0, 1, MB(1), [&] { delivered = true; });
   sim.Run();
   EXPECT_FALSE(delivered);
-  EXPECT_EQ(failed_node, 1);
-  EXPECT_EQ(failed_at, Milliseconds(100));
+  EXPECT_EQ(sim.executed_events(), 0u);  // nothing was scheduled
 }
 
 TEST(NetworkTest, InFlightTransferAbortsWhenNodeFails) {
   sim::Simulator sim;
   FlatFabric net(sim, TestConfig(2));
   bool delivered = false;
-  NodeID failed_node = kInvalidNode;
-  net.Send(0, 1, GB(1), [&] { delivered = true; },
-           [&](NodeID n) { failed_node = n; });
+  net.Send(0, 1, GB(1), [&] { delivered = true; });
   // Fail the receiver mid-transfer (1 GB at 10 Gbps takes ~859 ms).
   sim.ScheduleAt(Milliseconds(200), [&] { net.FailNode(1); });
   sim.Run();
   EXPECT_FALSE(delivered);
-  EXPECT_EQ(failed_node, 1);
-  EXPECT_EQ(sim.Now(), Milliseconds(300));  // fail time + detection delay
+}
+
+TEST(NetworkTest, InFlightTransferIsDroppedEvenIfTheNodeRejoinsFirst) {
+  // Node 1 dies and rejoins while 1 GB is still on its way to it: that
+  // transfer belongs to the old incarnation and never delivers, while one
+  // sent to the new incarnation does.
+  sim::Simulator sim;
+  FlatFabric net(sim, TestConfig(3));
+  bool old_delivered = false;
+  bool new_delivered = false;
+  net.Send(0, 1, GB(1), [&] { old_delivered = true; });
+  sim.ScheduleAt(Milliseconds(200), [&] { net.FailNode(1); });
+  sim.ScheduleAt(Milliseconds(300), [&] {
+    net.RecoverNode(1);
+    net.Send(2, 1, KB(1), [&] { new_delivered = true; });
+  });
+  sim.Run();
+  EXPECT_FALSE(old_delivered);
+  EXPECT_TRUE(new_delivered);
 }
 
 TEST(NetworkTest, RecoveredNodeAcceptsTransfers) {
@@ -196,17 +204,6 @@ TEST(NetworkTest, RecoveredNodeAcceptsTransfers) {
   net.Send(0, 1, KB(1), [&] { delivered = true; });
   sim.Run();
   EXPECT_TRUE(delivered);
-}
-
-TEST(NetworkTest, CancelTransferSuppressesCallbacks) {
-  sim::Simulator sim;
-  FlatFabric net(sim, TestConfig(2));
-  bool delivered = false;
-  const TransferId id = net.Send(0, 1, MB(1), [&] { delivered = true; });
-  EXPECT_TRUE(net.CancelTransfer(id));
-  EXPECT_FALSE(net.CancelTransfer(id));
-  sim.Run();
-  EXPECT_FALSE(delivered);
 }
 
 TEST(NetworkTest, TrafficCountersTrackBytes) {
@@ -223,45 +220,12 @@ TEST(NetworkTest, TrafficCountersTrackBytes) {
   EXPECT_EQ(net.TrafficOf(0).messages_sent, 2u);
 }
 
-TEST(NetworkTest, CancelAfterFailNodeReturnsFalseAndFailureStillReported) {
-  // FailNode wins the race: it already aborted the flight and scheduled the
-  // peer's failure notice, so a late CancelTransfer finds nothing to cancel
-  // and cannot un-schedule the notice.
-  sim::Simulator sim;
-  FlatFabric net(sim, TestConfig(2));
-  bool delivered = false;
-  NodeID reported = kInvalidNode;
-  const TransferId id =
-      net.Send(0, 1, MB(1), [&] { delivered = true; }, [&](NodeID n) { reported = n; });
-  net.FailNode(1);
-  EXPECT_FALSE(net.CancelTransfer(id));
-  sim.Run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(reported, 1);
-}
-
-TEST(NetworkTest, FailNodeAfterCancelFiresNoCallbacks) {
-  // CancelTransfer wins the race: the flight is gone, so the subsequent
-  // FailNode has nothing to report for it.
-  sim::Simulator sim;
-  FlatFabric net(sim, TestConfig(2));
-  bool delivered = false;
-  bool failure_reported = false;
-  const TransferId id = net.Send(0, 1, MB(1), [&] { delivered = true; },
-                                 [&](NodeID) { failure_reported = true; });
-  EXPECT_TRUE(net.CancelTransfer(id));
-  net.FailNode(1);
-  sim.Run();
-  EXPECT_FALSE(delivered);
-  EXPECT_FALSE(failure_reported);
-}
-
 TEST(NetworkTest, TrafficCountedAtSendSurvivesInFlightFailure) {
   // Counters are committed when the bytes go on the wire; a mid-flight node
   // death does not refund them at either endpoint.
   sim::Simulator sim;
   FlatFabric net(sim, TestConfig(2));
-  net.Send(0, 1, MB(4), [] {}, [](NodeID) {});
+  net.Send(0, 1, MB(4), [] {});
   net.FailNode(1);
   sim.Run();
   EXPECT_EQ(net.TrafficOf(0).bytes_sent, MB(4));
@@ -275,7 +239,7 @@ TEST(NetworkTest, SendToAlreadyFailedNodeCountsNoTraffic) {
   sim::Simulator sim;
   FlatFabric net(sim, TestConfig(2));
   net.FailNode(1);
-  net.Send(0, 1, MB(4), [] {}, [](NodeID) {});
+  net.Send(0, 1, MB(4), [] {});
   sim.Run();
   EXPECT_EQ(net.TrafficOf(0).bytes_sent, 0);
   EXPECT_EQ(net.TrafficOf(0).messages_sent, 0u);

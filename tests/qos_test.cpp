@@ -121,10 +121,9 @@ TEST(QosFabricTest, WfqSplitsTheUplinkByTenantNotByFlowCount) {
   // tenant share and finishes first.
   SimTime lone_done = -1;
   std::vector<SimTime> pack_done;
-  net.Send(0, 2, MB(4), [&] { lone_done = sim.Now(); }, nullptr, TenantId{1});
+  net.Send(0, 2, MB(4), [&] { lone_done = sim.Now(); }, TenantId{1});
   for (int i = 0; i < 3; ++i) {
-    net.Send(1, 3, MB(4), [&] { pack_done.push_back(sim.Now()); }, nullptr,
-             TenantId{2});
+    net.Send(1, 3, MB(4), [&] { pack_done.push_back(sim.Now()); }, TenantId{2});
   }
   sim.Run();
 
@@ -145,8 +144,8 @@ TEST(QosFabricTest, TenantWeightsSkewTheSplit) {
   net::RackFabric net(sim, cfg);
 
   SimTime heavy_done = -1;
-  net.Send(0, 2, MB(4), [&] { heavy_done = sim.Now(); }, nullptr, TenantId{1});
-  net.Send(1, 3, MB(4), [&] {}, nullptr, TenantId{2});
+  net.Send(0, 2, MB(4), [&] { heavy_done = sim.Now(); }, TenantId{1});
+  net.Send(1, 3, MB(4), [&] {}, TenantId{2});
   sim.Run();
 
   // Weighted split of the 5 Gbps uplink: 3.75 vs 1.25 Gbps.
@@ -169,7 +168,7 @@ TEST(QosFabricTest, AqmMarksSustainedUplinkHogsAndBackpressuresTheSender) {
   // far past the AQM target, sustained past its interval.
   int delivered = 0;
   for (int i = 0; i < 8; ++i) {
-    net.Send(i % 2, 2 + i % 2, MB(8), [&] { ++delivered; }, nullptr, TenantId{3});
+    net.Send(i % 2, 2 + i % 2, MB(8), [&] { ++delivered; }, TenantId{3});
   }
   sim.Run();
 
