@@ -129,7 +129,14 @@ WorkloadTrace BuildTrace(const ScenarioSpec& spec) {
       zipf_bytes.assign(static_cast<std::size_t>(tenant.zipf_hot_set), 0);
     }
 
+    // Reserve the expected arrival count plus six standard deviations of a
+    // Poisson count: growth by doubling would leave up to half the list as
+    // slack, and fresh heap that the next set-up faults in again.
     auto& ops = per_tenant[t];
+    const double expected =
+        std::max(0.0, tenant.arrivals.rate_per_s * ToSeconds(spec.horizon));
+    ops.reserve(static_cast<std::size_t>(std::min(
+        expected + 6.0 * std::sqrt(expected) + 64.0, static_cast<double>(kMaxOpsPerTenant))));
     SimTime at = 0;
     while (ops.size() < kMaxOpsPerTenant) {
       const SimDuration gap = tenant.arrivals.Next(rng);
