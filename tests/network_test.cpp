@@ -193,6 +193,35 @@ TEST(NetworkTest, InFlightTransferIsDroppedEvenIfTheNodeRejoinsFirst) {
   EXPECT_TRUE(new_delivered);
 }
 
+/// Node 0 starts sending 1 GB to node 1 at 0 ms and `victim` dies at 10 ms,
+/// rejoining at 20 ms when `rejoin` is set; at 30 ms `src` sends 1 KB to
+/// `dst`. Returns the instant the 1 KB lands.
+SimTime LateSendAfterADroppedTransfer(NodeID victim, bool rejoin, NodeID src, NodeID dst) {
+  sim::Simulator sim;
+  FlatFabric net(sim, TestConfig(3));
+  net.Send(0, 1, GB(1), [] { ADD_FAILURE() << "the dropped transfer delivered"; });
+  sim.ScheduleAt(Milliseconds(10), [&] { net.FailNode(victim); });
+  if (rejoin) sim.ScheduleAt(Milliseconds(20), [&] { net.RecoverNode(victim); });
+  SimTime delivered_at = -1;
+  sim.ScheduleAt(Milliseconds(30),
+                 [&] { net.Send(src, dst, KB(1), [&] { delivered_at = sim.Now(); }); });
+  sim.Run();
+  return delivered_at;
+}
+
+TEST(NetworkTest, DroppedTransferKeepsItsNicReservations) {
+  // The dropped 1 GB still holds node 0's egress and node 1's ingress until
+  // it would have finished (~859 ms), so each late 1 KB queues behind it.
+  const SimTime queued =
+      TransferTime(GB(1), Gbps(10)) + TransferTime(KB(1), Gbps(10)) + Microseconds(50);
+  EXPECT_EQ(LateSendAfterADroppedTransfer(0, /*rejoin=*/true, 0, 2), queued)
+      << "out of the rejoined sender";
+  EXPECT_EQ(LateSendAfterADroppedTransfer(0, /*rejoin=*/false, 2, 1), queued)
+      << "into the surviving receiver";
+  EXPECT_EQ(LateSendAfterADroppedTransfer(1, /*rejoin=*/false, 0, 2), queued)
+      << "out of the surviving sender whose receiver died";
+}
+
 TEST(NetworkTest, RecoveredNodeAcceptsTransfers) {
   sim::Simulator sim;
   FlatFabric net(sim, TestConfig(2));
