@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <utility>
@@ -114,8 +113,9 @@ class RayLikeTransport {
   struct Meta {
     std::int64_t size = 0;
     std::vector<NodeID> locations;
-    /// Gets parked until the object is Put: (fetching node, its promise).
-    std::deque<std::pair<NodeID, RefPromise<ObjectID>>> waiters;
+    /// Gets parked until the object is Put, FIFO: (fetching node, its
+    /// promise). A vector, so objects nobody waits on allocate nothing.
+    std::vector<std::pair<NodeID, RefPromise<ObjectID>>> waiters;
   };
 
   /// Wire bytes inflated by the effective-bandwidth factor.

@@ -78,7 +78,10 @@ bool ObjectDirectory::ObjectEntry::RemoveLocation(NodeID node) {
 }
 
 ObjectDirectory::ObjectDirectory(net::Fabric& network, DirectoryConfig config)
-    : network_(network), sim_(network.simulator()), config_(config) {}
+    : network_(network),
+      sim_(network.simulator()),
+      config_(config),
+      node_objects_(static_cast<std::size_t>(network.num_nodes())) {}
 
 void ObjectDirectory::ApplyWrite(std::function<void()> mutation) {
   ++ops_served_;
@@ -92,6 +95,7 @@ void ObjectDirectory::RegisterPartial(ObjectID object, NodeID node, std::int64_t
     if (entry.size < 0) entry.size = size;
     HOPLITE_CHECK_EQ(entry.size, size) << "conflicting sizes registered for " << object;
     if (!entry.AddLocation(node).second) return;  // idempotent
+    NoteRole(node, object);
     Publish(object, entry, LocationEvent{object, node, entry.size, false, false});
     ServeParked(object);
   });
@@ -140,6 +144,7 @@ void ObjectDirectory::RegisterCachedCopy(ObjectID object, NodeID node,
     if (loc->state != LocationState::kBusy) {
       loc->state = LocationState::kAvailableComplete;
     }
+    if (inserted) NoteRole(node, object);
     Publish(object, entry, LocationEvent{object, node, entry.size, true, false,
                                          /*is_inline=*/entry.is_inline});
     ServeParked(object);
@@ -151,9 +156,12 @@ void ObjectDirectory::RemoveLocation(ObjectID object, NodeID node) {
     auto obj_it = objects_.find(object);
     if (obj_it == objects_.end()) return;
     ObjectEntry& entry = obj_it->second;
-    if (entry.RemoveLocation(node)) {
-      Publish(object, entry, LocationEvent{object, node, entry.size, false, true});
-    }
+    if (!entry.RemoveLocation(node)) return;
+    Publish(object, entry, LocationEvent{object, node, entry.size, false, true});
+    // An eviction can take the last supply of a coalesced inline entry. Its
+    // parked claims restart the window now, not at the next unrelated
+    // wake-up: a removal changes nothing else that could serve them.
+    if (!HasSupply(entry)) ServeParked(object);
   });
 }
 
@@ -190,7 +198,7 @@ void ObjectDirectory::DeleteObject(ObjectID object,
     if (it != objects_.end()) {
       for (const auto& rec : it->second.locations) holders.push_back(rec.node);
       const std::int64_t size = it->second.size;
-      std::deque<ParkedClaim> parked = std::move(it->second.parked);
+      std::vector<ParkedClaim> parked = std::move(it->second.parked);
       objects_.erase(it);
       interests_.Abort(object);
       // Claims that *attached* to an in-flight coalesced fetch fail now
@@ -202,7 +210,7 @@ void ObjectDirectory::DeleteObject(ObjectID object,
       // forever. It stays parked on the id — semantically identical to the
       // same claim arriving one tick after the delete — and resolves when
       // the object is re-created.
-      std::deque<ParkedClaim> replug;
+      std::vector<ParkedClaim> replug;
       for (auto& claim : parked) {
         if (claim.attached) {
           ClaimReply reply;
@@ -280,6 +288,7 @@ void ObjectDirectory::Grant(ObjectID object, ObjectEntry& entry, NodeID sender,
   recv_loc->chain = reply.sender_chain;
   recv_loc->fetch_origin = true;
   if (inserted) {
+    NoteRole(receiver, object);
     Publish(object, entry, LocationEvent{object, receiver, entry.size, false, false});
   }
 
@@ -331,8 +340,34 @@ void ObjectDirectory::AuditEntry(const ObjectEntry& entry) const {
 }
 
 void ObjectDirectory::AuditDirectory() const {
+  // Every role is in its node's failure index, or a death would miss it.
+  std::vector<std::vector<ObjectID>> indexed;
+  indexed.reserve(node_objects_.size());
+  for (const NodeObjects& index : node_objects_) {
+    indexed.push_back(index.ids);
+    std::sort(indexed.back().begin(), indexed.back().end());
+  }
+  const auto noted = [&indexed](NodeID node, ObjectID object) {
+    const auto& ids = indexed.at(static_cast<std::size_t>(node));
+    return std::binary_search(ids.begin(), ids.end(), object);
+  };
   for (const ObjectID object : det::SortedKeys(objects_)) {
-    AuditEntry(objects_.find(object)->second);
+    const ObjectEntry& entry = objects_.find(object)->second;
+    AuditEntry(entry);
+    for (const LocationRecord& rec : entry.locations) {
+      HOPLITE_AUDIT(noted(rec.node, object))
+          << "node " << rec.node << " holds " << object << " outside its failure index";
+      if (rec.loc.serving != kInvalidNode) {
+        HOPLITE_AUDIT(noted(rec.loc.serving, object))
+            << "node " << rec.loc.serving << " is served " << object
+            << " outside its failure index";
+      }
+    }
+    for (const ParkedClaim& claim : entry.parked) {
+      HOPLITE_AUDIT(noted(claim.receiver, object))
+          << "node " << claim.receiver << " parks on " << object
+          << " outside its failure index";
+    }
   }
 }
 
@@ -377,6 +412,7 @@ void ObjectDirectory::ClaimSender(ObjectID object, NodeID receiver, ClaimCallbac
       interests_.NoteAttach(object);
       entry.parked.push_back(
           ParkedClaim{receiver, std::move(callback), /*attached=*/true, tenant});
+      NoteRole(receiver, object);
       return;
     }
     // Attached == parked while supply was already in flight: under
@@ -386,6 +422,7 @@ void ObjectDirectory::ClaimSender(ObjectID object, NodeID receiver, ClaimCallbac
     const bool attached = coalescing() && HasSupply(entry);
     if (attached) interests_.NoteAttach(object);
     entry.parked.push_back(ParkedClaim{receiver, std::move(callback), attached, tenant});
+    NoteRole(receiver, object);
   });
 }
 
@@ -396,11 +433,14 @@ void ObjectDirectory::ServeParked(ObjectID object) {
   // The caller just mutated this entry; audit the post-mutation shape before
   // grants mutate it further (Grant audits again after each grant).
   HOPLITE_AUDIT_SCOPE(AuditEntry(entry));
+  if (entry.parked.empty()) return;
+  // Serve from the queue moved out of the entry: serving k of n claims then
+  // costs O(n), and Grant's audit never meets a moved-from claim. Replies
+  // are scheduled, never run inline, so nothing parks meanwhile.
+  std::vector<ParkedClaim> queue = std::exchange(entry.parked, {});
   if (entry.is_inline && !coalescing()) {
     // Everything parked resolves through the inline cache.
-    auto parked = std::move(entry.parked);
-    entry.parked.clear();
-    for (auto& claim : parked) {
+    for (auto& claim : queue) {
       ClaimReply reply;
       reply.object = object;
       reply.object_size = entry.size;
@@ -420,15 +460,15 @@ void ObjectDirectory::ServeParked(ObjectID object) {
   // Under coalescing this loop IS the broadcast fan-out: each landed copy
   // frees its sender and adds a new complete holder, so the number of
   // grants per wake-up doubles until the parked queue drains.
-  while (!entry.parked.empty()) {
-    const NodeID receiver = entry.parked.front().receiver;
+  std::size_t served = 0;
+  for (; served < queue.size(); ++served) {
+    ParkedClaim& claim = queue[served];
+    const NodeID receiver = claim.receiver;
     const Location* self = entry.FindLocation(receiver);
     if (self != nullptr &&
         (!self->fetch_origin || self->state == LocationState::kAvailableComplete)) {
       // The receiver became a location itself (e.g. a reduce sink landed on
       // it): resolve the claim locally.
-      ParkedClaim claim = std::move(entry.parked.front());
-      entry.parked.pop_front();
       ClaimReply reply;
       reply.object = object;
       reply.object_size = entry.size;
@@ -440,26 +480,49 @@ void ObjectDirectory::ServeParked(ObjectID object) {
     }
     const NodeID sender = PickSender(object, entry, receiver);
     if (sender != kInvalidNode) {
-      ParkedClaim claim = std::move(entry.parked.front());
-      entry.parked.pop_front();
-      Grant(object, entry, sender, claim.receiver, std::move(claim.callback), kNotifyLatency);
+      Grant(object, entry, sender, receiver, std::move(claim.callback), kNotifyLatency);
       continue;
     }
     if (entry.is_inline && !interests_.Pending(object) && !HasSupply(entry)) {
       // Coalesced inline object with no supply at all (the window's fetcher
       // died before its copy landed): restart the window with the next
       // parked claim so the survivors re-resolve.
-      ParkedClaim claim = std::move(entry.parked.front());
-      entry.parked.pop_front();
-      interests_.Open(object, claim.receiver);
+      interests_.Open(object, receiver);
       // The restarting claim becomes the new window opener and pays the
       // shard egress, exactly as if it had opened the window first.
-      ServeInlineFromShard(object, entry, claim.receiver, std::move(claim.callback),
-                           claim.tenant);
+      ServeInlineFromShard(object, entry, receiver, std::move(claim.callback), claim.tenant);
       continue;
     }
-    return;
+    break;
   }
+  queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(served));
+  entry.parked = std::move(queue);
+}
+
+void ObjectDirectory::NoteRole(NodeID node, ObjectID object) {
+  NodeObjects& index = node_objects_[static_cast<std::size_t>(node)];
+  index.ids.push_back(object);
+  if (index.ids.size() < 2 * index.kept + 64) return;
+  // Dedupe, and drop the ids the node has no role on any more. (Inside
+  // ServeParked the served entry's queue is moved out, but the node noted
+  // there is a grant's receiver, a location of that entry by then.)
+  std::sort(index.ids.begin(), index.ids.end());
+  index.ids.erase(std::unique(index.ids.begin(), index.ids.end()), index.ids.end());
+  index.ids.erase(std::remove_if(index.ids.begin(), index.ids.end(),
+                                 [this, node](ObjectID id) {
+                                   const auto it = objects_.find(id);
+                                   return it == objects_.end() || !HasRole(it->second, node);
+                                 }),
+                  index.ids.end());
+  index.kept = index.ids.size();
+}
+
+bool ObjectDirectory::HasRole(const ObjectEntry& entry, NodeID node) {
+  return entry.FindLocation(node) != nullptr ||
+         std::any_of(entry.locations.begin(), entry.locations.end(),
+                     [node](const LocationRecord& rec) { return rec.loc.serving == node; }) ||
+         std::any_of(entry.parked.begin(), entry.parked.end(),
+                     [node](const ParkedClaim& claim) { return claim.receiver == node; });
 }
 
 void ObjectDirectory::ServeInlineFromShard(ObjectID object, const ObjectEntry& entry,
@@ -582,10 +645,20 @@ void ObjectDirectory::Publish(ObjectID object, const ObjectEntry& entry,
 void ObjectDirectory::NodeFailed(NodeID node) {
   // Failure cleanup is applied immediately: the directory learns about the
   // death from the failure detector, which already waited the detection
-  // delay before telling anyone. Walk objects by ascending id so the order
-  // of failure publishes / parked-claim grants is deterministic.
-  for (const ObjectID object : det::SortedKeys(objects_)) {
-    ObjectEntry& entry = objects_.find(object)->second;
+  // delay before telling anyone. Walk the node's objects by ascending id so
+  // the order of failure publishes / parked-claim grants is deterministic.
+  // Walking every object would do no more: an object the node has no role
+  // on has nothing to drop, and every change to an entry already served its
+  // parked queue.
+  std::vector<ObjectID> touched =
+      std::exchange(node_objects_[static_cast<std::size_t>(node)], {}).ids;
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const ObjectID object : touched) {
+    const auto obj_it = objects_.find(object);
+    if (obj_it == objects_.end()) continue;  // deleted since the node touched it
+    ++failure_visits_;
+    ObjectEntry& entry = obj_it->second;
     if (entry.RemoveLocation(node)) {
       Publish(object, entry, LocationEvent{object, node, entry.size, false, true});
     }

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -192,6 +191,8 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   // ------------------------------------------------------------------
 
   /// Drops every location hosted by `node` and cancels its parked claims.
+  /// Visits only the objects in `node`'s index, by ascending id, so a death
+  /// costs what the node held rather than what the directory knows.
   /// Inline cache entries whose shard landed on `node` survive: the real
   /// system replicates directory shards for durability (§6, "Framework's
   /// fault tolerance"), which we model as the shard content staying
@@ -212,6 +213,15 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
 
   /// Total directory operations served (reads + writes), for benches.
   [[nodiscard]] std::uint64_t ops_served() const noexcept { return ops_served_; }
+
+  /// Objects NodeFailed has visited, summed over every death.
+  [[nodiscard]] std::uint64_t failure_visits() const noexcept { return failure_visits_; }
+
+  /// Length of `node`'s failure index: a superset of the objects it holds,
+  /// is being served, or has claims parked on (see `node_objects_`).
+  [[nodiscard]] std::size_t IndexedObjectsOf(NodeID node) const {
+    return node_objects_.at(static_cast<std::size_t>(node)).ids.size();
+  }
 
   /// Request-coalescing counters (windows opened/resolved, claims attached).
   [[nodiscard]] const cache::InterestStats& interest_stats() const noexcept {
@@ -273,7 +283,9 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
     /// are contiguous, and iteration order is deterministic by construction
     /// instead of by hash-table accident.
     std::vector<LocationRecord> locations;
-    std::deque<ParkedClaim> parked;
+    /// Claims waiting for a sender, FIFO. A vector, so the many entries
+    /// that never park a claim allocate nothing for the queue.
+    std::vector<ParkedClaim> parked;
     /// Sorted by subscription id (ids are handed out in increasing order and
     /// only ever appended, so insertion order == id order).
     std::vector<std::pair<SubscriptionId, SubscriptionCallback>> subscribers;
@@ -314,6 +326,13 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   /// Serves as many parked claims as possible after a state change.
   void ServeParked(ObjectID object);
 
+  /// Records that `node` took a role on `object` (a location, a receiver
+  /// being served, a parked claim), pruning its index when it has doubled.
+  void NoteRole(NodeID node, ObjectID object);
+
+  /// Whether `node` holds, is being served, or has a claim parked on `entry`.
+  [[nodiscard]] static bool HasRole(const ObjectEntry& entry, NodeID node);
+
   /// Sends `entry`'s inline payload from the live shard node to `receiver`
   /// (charged to `tenant`) and schedules the payload reply on arrival.
   void ServeInlineFromShard(ObjectID object, const ObjectEntry& entry, NodeID receiver,
@@ -331,10 +350,21 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   sim::Engine& sim_;
   DirectoryConfig config_;
   std::unordered_map<ObjectID, ObjectEntry> objects_;
+  /// Per node, ids of the objects it may have a role on: what NodeFailed
+  /// visits instead of every object. Ids are appended as roles begin and
+  /// never removed one by one, so the list is a superset; NoteRole dedupes
+  /// and filters it whenever it reaches twice what survived its last prune,
+  /// plus 64, which bounds the lists of nodes that never die.
+  struct NodeObjects {
+    std::vector<ObjectID> ids;
+    std::size_t kept = 0;  ///< ids left by the last prune
+  };
+  std::vector<NodeObjects> node_objects_;
   /// Pending-interest windows for coalesced inline fetches + counters.
   cache::InterestTable interests_;
   SubscriptionId next_subscription_ = 1;
   std::uint64_t ops_served_ = 0;
+  std::uint64_t failure_visits_ = 0;
 };
 
 }  // namespace hoplite::directory

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -15,12 +18,14 @@ namespace {
 
 class DirectoryTest : public ::testing::Test {
  protected:
-  DirectoryTest() : net_(MakeNetwork()), dir_(*net_, DirectoryConfig{}) {}
+  explicit DirectoryTest(bool coalescing = false)
+      : net_(MakeNetwork(coalescing)), dir_(*net_, DirectoryConfig{}) {}
 
-  std::unique_ptr<net::FlatFabric> MakeNetwork() {
+  std::unique_ptr<net::FlatFabric> MakeNetwork(bool coalescing) {
     net::ClusterConfig cfg;
     cfg.num_nodes = 8;
     cfg.per_message_overhead = 0;
+    cfg.cache.coalescing = coalescing;
     return std::make_unique<net::FlatFabric>(sim_, cfg);
   }
 
@@ -29,6 +34,21 @@ class DirectoryTest : public ::testing::Test {
   ObjectDirectory dir_;
   const ObjectID obj_ = ObjectID::FromName("payload");
 };
+
+/// The same directory with request coalescing on: fetch-origin partials are
+/// not grantable, so a claim parks while the only complete copy is busy.
+class CoalescingDirectoryTest : public DirectoryTest {
+ protected:
+  CoalescingDirectoryTest() : DirectoryTest(/*coalescing=*/true) {}
+};
+
+/// `count` distinct object ids in ascending order.
+std::vector<ObjectID> AscendingIds(const char* name, int count) {
+  std::vector<ObjectID> ids;
+  for (int i = 0; i < count; ++i) ids.push_back(ObjectID::FromName(name).WithIndex(i));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 TEST_F(DirectoryTest, RegisterThenQuery) {
   dir_.RegisterPartial(obj_, 2, MB(1));
@@ -371,6 +391,113 @@ TEST_F(DirectoryTest, DeleteWhileClaimReadInFlightParksOnTheFreshEntry) {
   sim_.Run();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->sender, 7);
+}
+
+TEST_F(CoalescingDirectoryTest, NodeFailureWalksTheDeadNodesObjectsInAscendingId) {
+  // Node 1 takes a role on ten objects in descending id order: for each, it
+  // is served by node 0, the only complete copy, and node 5's claim parks
+  // behind it. Node 1's death removes its partial and frees node 0, which
+  // is granted to node 5 at once: removals and grants interleave by
+  // ascending object id, whatever order the roles began in.
+  const std::vector<ObjectID> ids = AscendingIds("walk", 10);
+  std::vector<std::pair<char, ObjectID>> log;
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    const ObjectID object = *it;
+    dir_.RegisterPartial(object, 0, MB(1));
+    dir_.MarkComplete(object, 0);
+    sim_.Run();
+    dir_.ClaimSender(object, 1, [](const ClaimReply&) {});
+    sim_.Run();
+    ASSERT_EQ(dir_.StateOf(object, 0), LocationState::kBusy);
+    dir_.ClaimSender(object, 5, [&log](const ClaimReply& r) {
+      EXPECT_EQ(r.sender, 0);
+      log.emplace_back('g', r.object);
+    });
+    dir_.Subscribe(object, [&log](const LocationEvent& e) {
+      if (e.removed) log.emplace_back('r', e.object);
+    });
+    sim_.Run();
+  }
+  ASSERT_TRUE(log.empty());
+  dir_.NodeFailed(1);
+  sim_.Run();
+  std::vector<std::pair<char, ObjectID>> expected;
+  for (const ObjectID object : ids) {
+    expected.emplace_back('r', object);
+    expected.emplace_back('g', object);
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(dir_.failure_visits(), ids.size());
+}
+
+TEST_F(DirectoryTest, NodeFailureVisitsOnlyWhatTheNodeHeld) {
+  // Node 1 holds 3 of 10,000 objects and has one claim parked on an id no
+  // one has produced yet: its death visits those 4 objects, not all of them.
+  const std::vector<ObjectID> ids = AscendingIds("many", 10000);
+  for (const ObjectID object : ids) dir_.RegisterPartial(object, 0, KB(1));
+  for (const std::size_t i : {17u, 4242u, 9001u}) dir_.RegisterPartial(ids[i], 1, KB(1));
+  const ObjectID unborn = ObjectID::FromName("unborn");
+  bool parked_replied = false;
+  dir_.ClaimSender(unborn, 1, [&](const ClaimReply&) { parked_replied = true; });
+  sim_.Run();
+  ASSERT_EQ(dir_.LocationsOf(ids[4242]), (std::vector<NodeID>{0, 1}));
+  dir_.NodeFailed(1);
+  sim_.Run();
+  EXPECT_LE(dir_.failure_visits(), 4u);
+  for (const std::size_t i : {17u, 4242u, 9001u}) {
+    EXPECT_EQ(dir_.LocationsOf(ids[i]), (std::vector<NodeID>{0}));
+  }
+  EXPECT_EQ(dir_.IndexedObjectsOf(1), 0u);
+  dir_.RegisterPartial(unborn, 2, KB(1));
+  sim_.Run();
+  EXPECT_FALSE(parked_replied) << "the dead node's parked claim must be dropped";
+}
+
+TEST_F(DirectoryTest, FailureIndexOfANodeThatNeverDiesStaysBounded) {
+  // Node 1 registers and deletes 10,000 distinct objects, holding at most
+  // one at a time. Its index may keep ids it no longer holds, but each prune
+  // leaves only what it holds, and the next one comes at twice that plus 64.
+  std::size_t longest = 0;
+  for (const ObjectID object : AscendingIds("cycle", 10000)) {
+    dir_.RegisterPartial(object, 1, KB(1));
+    sim_.Run();
+    longest = std::max(longest, dir_.IndexedObjectsOf(1));
+    dir_.DeleteObject(object, nullptr);
+    sim_.Run();
+  }
+  EXPECT_LE(longest, 2u * 1 + 64);
+}
+
+TEST_F(CoalescingDirectoryTest, EvictingTheLastSupplyRestartsTheCoalescingWindow) {
+  // Node 1 caches the inline object and serves node 2; node 3's claim
+  // attaches behind it. Node 1 then retracts its copy (evicted): node 2's
+  // fetch-origin partial is no supply, so node 3's claim must restart the
+  // window from the shard now rather than wait for an unrelated wake-up.
+  dir_.PutInline(obj_, 0, store::Buffer::OfSize(100), nullptr);
+  sim_.Run();
+  std::optional<ClaimReply> first;
+  dir_.ClaimSender(obj_, 1, [&](const ClaimReply& r) { first = r; });
+  sim_.Run();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->inline_payload);
+  dir_.RegisterCachedCopy(obj_, 1);
+  sim_.Run();
+  EXPECT_EQ(dir_.pending_interests(), 0u);
+  std::optional<ClaimReply> second;
+  dir_.ClaimSender(obj_, 2, [&](const ClaimReply& r) { second = r; });
+  sim_.Run();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->sender, 1);
+  std::optional<ClaimReply> third;
+  dir_.ClaimSender(obj_, 3, [&](const ClaimReply& r) { third = r; });
+  sim_.Run();
+  ASSERT_FALSE(third.has_value()) << "node 1 is busy and node 2 is still fetching";
+  dir_.RemoveLocation(obj_, 1);
+  sim_.Run();
+  ASSERT_TRUE(third.has_value());
+  EXPECT_TRUE(third->inline_payload);
+  EXPECT_EQ(third->payload.size(), 100);
+  EXPECT_EQ(dir_.pending_interests(), 1u) << "node 3 opened the new window";
 }
 
 }  // namespace
