@@ -44,8 +44,18 @@ class HOPLITE_DOMAIN_CONFINED FlatFabric final : public Fabric {
   void AbortTransfersOf(NodeID node) override;
 
  private:
+  /// The latest reservation on one NIC queue: the node at the other end and
+  /// the queue's free-at time before it, so a death of that node can hand
+  /// the reservation back.
+  struct LastReservation {
+    NodeID peer = kInvalidNode;
+    SimTime free_before = 0;
+  };
+
   std::vector<SimTime> egress_free_at_;
   std::vector<SimTime> ingress_free_at_;
+  std::vector<LastReservation> last_egress_;
+  std::vector<LastReservation> last_ingress_;
   /// Per node, how often it has failed: a delivery whose endpoints' counts
   /// moved since its send is dropped. 32 bits keep its capture in 64 bytes.
   std::vector<std::uint32_t> deaths_;

@@ -209,17 +209,37 @@ SimTime LateSendAfterADroppedTransfer(NodeID victim, bool rejoin, NodeID src, No
   return delivered_at;
 }
 
-TEST(NetworkTest, DroppedTransferKeepsItsNicReservations) {
-  // The dropped 1 GB still holds node 0's egress and node 1's ingress until
-  // it would have finished (~859 ms), so each late 1 KB queues behind it.
-  const SimTime queued =
-      TransferTime(GB(1), Gbps(10)) + TransferTime(KB(1), Gbps(10)) + Microseconds(50);
-  EXPECT_EQ(LateSendAfterADroppedTransfer(0, /*rejoin=*/true, 0, 2), queued)
+TEST(NetworkTest, DroppedTransferReleasesItsNicReservations) {
+  // The dropped 1 GB would hold node 0's egress and node 1's ingress until
+  // ~859 ms; the death hands both back, so each late 1 KB starts at once.
+  const SimTime at_once =
+      Milliseconds(30) + TransferTime(KB(1), Gbps(10)) + Microseconds(50);
+  EXPECT_EQ(LateSendAfterADroppedTransfer(0, /*rejoin=*/true, 0, 2), at_once)
       << "out of the rejoined sender";
-  EXPECT_EQ(LateSendAfterADroppedTransfer(0, /*rejoin=*/false, 2, 1), queued)
+  EXPECT_EQ(LateSendAfterADroppedTransfer(0, /*rejoin=*/false, 2, 1), at_once)
       << "into the surviving receiver";
-  EXPECT_EQ(LateSendAfterADroppedTransfer(1, /*rejoin=*/false, 0, 2), queued)
+  EXPECT_EQ(LateSendAfterADroppedTransfer(1, /*rejoin=*/false, 0, 2), at_once)
       << "out of the surviving sender whose receiver died";
+}
+
+TEST(NetworkTest, TransferQueuedBehindADroppedOneKeepsItsPlace) {
+  // Node 0 queues 1 KB to node 2 behind its 1 GB to node 1, then node 1
+  // dies. The 1 KB's delivery is already scheduled behind the dropped
+  // transfer, so node 0's egress stays reserved until it goes out.
+  sim::Simulator sim;
+  FlatFabric net(sim, TestConfig(3));
+  const SimDuration gigabyte = TransferTime(GB(1), Gbps(10));
+  const SimDuration kilobyte = TransferTime(KB(1), Gbps(10));
+  SimTime queued_at = -1;
+  net.Send(0, 1, GB(1), [] {});
+  net.Send(0, 2, KB(1), [&] { queued_at = sim.Now(); });
+  sim.ScheduleAt(Milliseconds(10), [&] {
+    net.FailNode(1);
+    EXPECT_EQ(net.EgressFreeAt(0), gigabyte + kilobyte);
+    EXPECT_EQ(net.IngressFreeAt(2), gigabyte + kilobyte);
+  });
+  sim.Run();
+  EXPECT_EQ(queued_at, gigabyte + kilobyte + Microseconds(50));
 }
 
 TEST(NetworkTest, RecoveredNodeAcceptsTransfers) {
