@@ -16,8 +16,10 @@ Runs made with `--trace` also carry a `layers` block of per-layer work
 counters. The script lists, in a second table, every deterministic counter
 that differs between base and head (host-time names are skipped: `*_wall_s`,
 `*_ns`, `*_us` and `trace.*`). A change may move those counters on purpose,
-so they are reported only and never change the exit status. Standard
-library only.
+so they are reported only and never change the exit status.
+
+A last table lists each run's `peak_rss_mb` at base and head, also report
+only: it is host memory, not simulated output. Standard library only.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ def moved_counters(base: dict, head: dict) -> list[tuple[str, float, float]]:
             if not host_time(name) and base.get(name) != head.get(name)]
 
 
+def rss_change(base: dict | None, head: dict | None) -> str:
+    """Peak-RSS cells for one run: base, head and the relative change."""
+    values = [r.get("peak_rss_mb") if r else None for r in (base, head)]
+    cells = [f"{v:.1f}" if v is not None else "-" for v in values]
+    if None in values or not values[0]:
+        return " | ".join(cells + ["-"])
+    return " | ".join(cells + [f"{values[1] / values[0] - 1:+.1%}"])
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -72,8 +83,10 @@ def main() -> int:
     print("|---|---|---|---|")
     bad = traced = 0
     counters = []
+    rss = []
     for name in names:
         base, head = load(base_dir / name), load(head_dir / name)
+        rss.append(f"| {Path(name).stem} | {rss_change(base, head)} |")
         verdict, detail = compare(base, head)
         digests = " / ".join(r["outcome_digest"] if r else "-" for r in (base, head))
         print(f"| {Path(name).stem} | {digests} | {verdict} | {detail} |")
@@ -91,6 +104,10 @@ def main() -> int:
             print(f"| {run} | {counter} | {base_value} | {head_value} |")
     else:
         print("none differs")
+    print("\nPeak RSS (`peak_rss_mb`, report only):")
+    print("\n| run | base MB | head MB | change |")
+    print("|---|---|---|---|")
+    print("\n".join(rss))
     return 1 if bad else 0
 
 
